@@ -1,19 +1,60 @@
-"""Pure-Python implementation of the hot crossover kernel.
+"""Pure-Python implementation of the hot crossover kernel, word-parallel.
 
 Imported by ecscalar.kernels when the compiled extension is unavailable.
 Must stay draw-for-draw identical to ecscalar._speedups: one SplitMix64
 output is consumed per bit position, in MSB-first order, with no
 short-circuiting.
+
+SplitMix64 is counter-based: draw j (0-based) from state s is
+mix64(s + (j+1)*gamma).  So instead of one interpreter pass per bit, all
+``width`` draws are computed at once inside one Python int, SWAR style
+(SIMD within a register): draw j lives in 128-bit lane j, its value in the
+lane's low 64 bits.  The upper 64 bits are headroom: a 64x64-bit product
+fits in a lane, so no carry ever crosses into the next one, and lanes are
+re-masked to 64 bits before each multiply.  The comparison draw <= thr
+becomes a guard-bit subtraction, and the guard bits are gathered MSB-first
+into the mask with one bytes slice and one base-2 parse.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
+# Byte 0/1 (a gathered guard bit) -> ASCII "0"/"1", for int(..., 2).
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 BACKEND = "python"
+
+
+@lru_cache(maxsize=16)
+def _lanes(width: int) -> tuple[int, int, int, int]:
+    """Per-width lane constants (ones, gamma ramp, low, guard).
+
+    ones has 1 in every lane, the ramp holds (j+1)*gamma mod 2^64 in lane j,
+    low masks every lane to its 64 value bits and guard sets bit 64 of every
+    lane.  Built from bytes, so the cost is linear in ``width``.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
+    ramp = int.from_bytes(
+        b"".join(
+            ((j * _GOLDEN) & _MASK64).to_bytes(16, "little")
+            for j in range(1, width + 1)
+        ),
+        "little",
+    )
+    return ones, ramp, ones * _MASK64, ones << 64
+
+
+@lru_cache(maxsize=16)
+def _bound(width: int, thr_inclusive: int) -> int:
+    """Guard bit over ``thr_inclusive`` in every lane; one per run's rate."""
+    ones, _, _, guard = _lanes(width)
+    return guard | thr_inclusive * ones
 
 
 def crossover_fill(
@@ -24,15 +65,18 @@ def crossover_fill(
     Mask bit at MSB-first position j is set iff the j-th draw is
     <= thr_inclusive (suppressed entirely when ``never``) or j == j_rand.
     """
-    buf = bytearray((width + 7) >> 3)
-    pad = len(buf) * 8 - width
-    for j in range(width):
-        state = (state + _GOLDEN) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-        z ^= z >> 31
-        if j == j_rand or (not never and z <= thr_inclusive):
-            pos = pad + j
-            buf[pos >> 3] |= 0x80 >> (pos & 7)
-    return int.from_bytes(buf, "big"), state
+    new_state = (state + width * _GOLDEN) & _MASK64
+    if never:
+        mask = 0
+    else:
+        ones, ramp, low, guard = _lanes(width)
+        z = (state * ones + ramp) & low
+        z = ((z ^ (z >> 30)) & low) * _MUL1 & low
+        z = ((z ^ (z >> 27)) & low) * _MUL2 & low
+        z = (z ^ (z >> 31)) & low
+        # Lane holds 2^64 + thr - z, which keeps its guard bit iff z <= thr;
+        # the guard bit is bit 0 of byte 8 of the lane.
+        taken = (_bound(width, thr_inclusive) - z) & guard
+        digits = taken.to_bytes(16 * width, "little")[8::16]
+        mask = int(digits.translate(_TO_DIGITS), 2)
+    return mask | (1 << (width - 1 - j_rand)), new_state

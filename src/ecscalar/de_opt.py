@@ -63,13 +63,19 @@ def parse_mutation_factor(value: Fraction | str | float | int) -> Fraction:
 
     Strings accept both "4/5" and "0.8"; floats are read through their
     shortest decimal form, so 0.8 means exactly 4/5 rather than the nearest
-    binary double.
+    binary double.  A zero denominator ("1/0") is a ValueError like any
+    other malformed factor.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"zero denominator in mutation factor {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ conventions are documented in docs/rng.md.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "MASK64",
@@ -100,13 +101,15 @@ def substream(seed: int, generation: int, index: int) -> SplitMix64:
     return SplitMix64(substream_seed(seed, generation, index))
 
 
+@lru_cache(maxsize=64)
 def bernoulli_threshold(rate: float | Fraction) -> int:
     """Map a probability to an inclusive-exclusive u64 threshold in [0, 2^64].
 
     A draw ``u`` succeeds iff ``u < threshold``, so rate 0.0 never fires and
     rate 1.0 always does.  The rate is scaled exactly (via Fraction), making
     the threshold — and hence every run — independent of the platform's
-    float rounding.
+    float rounding.  Memoized: the optimizer asks once per trial with the
+    same rate, and rates that compare equal are the same exact number.
     """
     frac = Fraction(rate)
     if not 0 <= frac <= 1:

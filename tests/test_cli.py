@@ -113,6 +113,17 @@ class TestDeterminism:
         assert json.dumps(base, sort_keys=True) == json.dumps(
             threaded, sort_keys=True)
 
+    def test_workers_do_not_change_a_full_budget_report(self, capsys):
+        # Seed 9 above stops at generation 0; this run makes five DE
+        # generations go through the worker pool.
+        argv = ("generate", "--curve", "p192", "--seed", "9",
+                "--no-early-stop", "--max-generations", "5")
+        base = self._strip(_run_json(capsys, *argv, "--workers", "1"))
+        threaded = self._strip(_run_json(capsys, *argv, "--workers", "4"))
+        assert base["generations_run"] == 5
+        assert json.dumps(base, sort_keys=True) == json.dumps(
+            threaded, sort_keys=True)
+
 
 class TestAudit:
     def test_example_width_5(self, capsys):
@@ -300,3 +311,24 @@ class TestUsage:
             "--mutation-factor", "abc",
         )
         assert code == 2
+
+    def test_zero_denominator_flag_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "generate", "--curve", "toy29", "--seed", "1",
+            "--mutation-factor", "1/0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--mutation-factor" in err and "Traceback" not in err
+
+    def test_zero_denominator_config_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("mutation_factor = 1/0\n")
+        code, out, err = _run(
+            capsys, "generate", "--curve", "toy29", "--seed", "1",
+            "--config", str(config),
+        )
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1

@@ -47,6 +47,10 @@ class TestConfig:
         assert parse_mutation_factor(0.8) == Fraction(4, 5)
         assert DEConfig(mutation_factor=0.8).mutation_factor == Fraction(4, 5)
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_mutation_factor("1/0")
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -293,6 +297,15 @@ class TestOptimize:
         config = DEConfig(seed=31337)
         serial = optimize(config, p256, workers=1)
         threaded = optimize(config, p256, workers=4)
+        assert serial == threaded
+
+    def test_worker_counts_agree_through_generations(self, p256):
+        # Seed 31337 converges at generation 0 under early stop, so the
+        # check above never reaches the thread pool; this one runs it.
+        config = DEConfig(seed=31337, early_stop=False, max_generations=5)
+        serial = optimize(config, p256, workers=1)
+        threaded = optimize(config, p256, workers=4)
+        assert serial.generations_run == 5
         assert serial == threaded
 
     def test_width_override_too_small_rejected(self, p192):

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecscalar import _fallback, kernels
-from ecscalar.rng import SplitMix64, bernoulli_threshold
+from ecscalar.rng import GOLDEN_GAMMA, MASK64, SplitMix64, bernoulli_threshold
 
 try:
     from ecscalar import _speedups
@@ -87,6 +89,69 @@ class TestContract:
             kernels.crossover_fill(0, 8, 0, 8)
         with pytest.raises(ValueError):
             kernels.crossover_fill(0, 8, (1 << 64) + 1, 0)
+
+
+# Weyl-counter edge states: zero, all ones, and one step before wrapping.
+EDGE_STATES = (0, MASK64, (1 << 64) - GOLDEN_GAMMA)
+EDGE_THRESHOLDS = (0, 1, 1 << 63, MASK64, 1 << 64)
+# Byte (8), u64 (64) and lane-count edges, plus the production widths.
+EDGE_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193,
+               224, 255, 256, 257, 511, 512, 513, 521, 599, 600)
+
+
+def _clear_lane_caches():
+    _fallback._lanes.cache_clear()
+    _fallback._bound.cache_clear()
+
+
+class TestWordParallelKernel:
+    """The big-int kernel against the per-bit oracle ``_reference_mask``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.integers(1, 600),
+        state=st.one_of(st.sampled_from(EDGE_STATES), st.integers(0, MASK64)),
+        threshold=st.one_of(
+            st.sampled_from(EDGE_THRESHOLDS), st.integers(0, 1 << 64)
+        ),
+        data=st.data(),
+    )
+    def test_matches_reference_property(self, width, state, threshold, data):
+        j_rand = data.draw(st.integers(0, width - 1))
+        got = kernels.crossover_fill(state, width, threshold, j_rand,
+                                     impl=_fallback)
+        assert got == _reference_mask(state, width, threshold, j_rand)
+
+    @pytest.mark.parametrize("width", EDGE_WIDTHS)
+    def test_edge_states_and_thresholds(self, width):
+        for state in EDGE_STATES:
+            for threshold in EDGE_THRESHOLDS:
+                for j_rand in {0, width // 2, width - 1}:
+                    got = kernels.crossover_fill(
+                        state, width, threshold, j_rand, impl=_fallback
+                    )
+                    assert got == _reference_mask(
+                        state, width, threshold, j_rand
+                    )
+
+    @pytest.mark.parametrize("widths", [(64, 65), (256, 1), (192, 600)])
+    def test_width_order_does_not_matter(self, widths):
+        threshold = bernoulli_threshold(0.9)
+        results = []
+        for order in (widths, widths[::-1], widths):
+            _clear_lane_caches()
+            results.append({
+                w: kernels.crossover_fill(0xDEADBEEF, w, threshold, 0,
+                                          impl=_fallback)
+                for w in order
+            })
+        assert results[0] == results[1] == results[2]
+        for w, got in results[0].items():
+            assert got == _reference_mask(0xDEADBEEF, w, threshold, 0)
+
+    def test_lane_caches_are_bounded(self):
+        assert _fallback._lanes.cache_info().maxsize is not None
+        assert _fallback._bound.cache_info().maxsize is not None
 
 
 @pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
