@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Time the randomness battery and check it against per-bit references.
+
+Prints microseconds per call of ``run_battery``, ``autocorrelation`` (lag 2)
+and ``compression_ratio`` at the three production widths and at 100 000
+bits.  Every timed result is compared with a per-bit reference: the list
+computation of the autocorrelation, adding its terms strictly in bit order,
+and the length of the actual run-length + Elias-gamma encoding.  Any
+difference is a bug, and the script exits non-zero.
+
+Run from the repository root:
+
+    PYTHONPATH=src python benchmarks/battery_bench.py
+"""
+
+import random
+import time
+
+from ecscalar.bitcodec import BitString
+from ecscalar.statbattery import (
+    DEFAULT_LAGS,
+    _run_lengths,
+    autocorrelation,
+    compression_ratio,
+    rle_gamma_encode,
+    run_battery,
+)
+
+WIDTHS = (192, 224, 256, 100_000)
+TIMED_LAG = 2
+
+
+def reference_autocorrelation(s, lag):
+    bits = [(s.value >> (s.width - 1 - j)) & 1 for j in range(s.width)]
+    mean = sum(bits) / s.width
+    denom = 0
+    for b in bits:
+        denom += (b - mean) ** 2
+    if denom == 0.0:
+        return 0.0
+    num = 0
+    for j in range(s.width - lag):
+        num += (bits[j] - mean) * (bits[j + lag] - mean)
+    return num / denom
+
+
+def per_call_us(fn, calls):
+    start = time.perf_counter()
+    for _ in range(calls):
+        result = fn()
+    return (time.perf_counter() - start) / calls * 1e6, result
+
+
+def check(s, battery, auto, compression):
+    """Raise SystemExit when any result differs from its per-bit reference."""
+    lags = [lag for lag in DEFAULT_LAGS if lag < s.width]
+    expected = {f"lag_{lag}": reference_autocorrelation(s, lag) for lag in lags}
+    summary = {t.test_name: t for t in battery.tests}["autocorrelation"]
+    mean_abs = 0
+    for r in expected.values():
+        mean_abs += abs(r)
+    mismatches = []
+    if summary.auxiliary != expected:
+        mismatches.append("per-lag autocorrelation")
+    if summary.statistic != mean_abs / len(lags):
+        mismatches.append("mean |r|")
+    if auto.statistic != expected[f"lag_{TIMED_LAG}"]:
+        mismatches.append("autocorrelation()")
+    encoded = rle_gamma_encode(s).width
+    if (
+        compression.auxiliary["emitted_bits"] != encoded
+        or compression.auxiliary["runs"] != len(_run_lengths(s))
+        or compression.statistic != encoded / s.width
+    ):
+        mismatches.append("compression_ratio()")
+    if mismatches:
+        raise SystemExit(
+            f"width {s.width}: {', '.join(mismatches)} differ from the "
+            "per-bit reference — this is a bug"
+        )
+
+
+def main():
+    rng = random.Random(2024)
+    print(f"{'width':>7}  {'run_battery':>12}  {'autocorr':>10}  {'compress':>10}"
+          "   (us per call)")
+    for width in WIDTHS:
+        s = BitString(rng.getrandbits(width), width)
+        calls = 2000 if width <= 256 else 3
+        battery_us, battery = per_call_us(lambda: run_battery(s), calls)
+        auto_us, auto = per_call_us(lambda: autocorrelation(s, TIMED_LAG), calls)
+        comp_us, compression = per_call_us(lambda: compression_ratio(s), calls)
+        print(f"{width:>7}  {battery_us:12.1f}  {auto_us:10.1f}  {comp_us:10.1f}")
+        check(s, battery, auto, compression)
+    print("\nall results equal the per-bit references")
+
+
+if __name__ == "__main__":
+    main()

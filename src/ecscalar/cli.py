@@ -45,7 +45,7 @@ from ecscalar.registry import (
     parse_kv_text,
 )
 from ecscalar.rng import substream, substream_seed
-from ecscalar.statbattery import DEFAULT_LAGS, run_battery
+from ecscalar.statbattery import DEFAULT_LAGS, ordered_sum, run_battery
 
 _CONFIG_KEYS = (
     "population_size",
@@ -237,10 +237,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         picked = [r for r in rows if r["source"] == source]
         summary_stats[source] = {
             "mean_entropy": rpt.sig6(
-                sum(r["entropy"] for r in picked) / len(picked)
+                ordered_sum(r["entropy"] for r in picked) / len(picked)
             ),
             "mean_abs_autocorrelation": rpt.sig6(
-                sum(r["_mean_abs_autocorrelation"] for r in picked) / len(picked)
+                ordered_sum(r["_mean_abs_autocorrelation"] for r in picked)
+                / len(picked)
             ),
         }
     for r in rows:

@@ -33,11 +33,13 @@ from ecscalar import kernels
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.curve import CurveParams
 from ecscalar.rng import SplitMix64, bernoulli_threshold, substream
+from ecscalar.statbattery import ordered_sum
 
 __all__ = [
     "DEConfig",
     "GenerationStat",
     "Individual",
+    "MAX_POPULATION_SIZE",
     "OptResult",
     "PopulationTooSmallError",
     "crossover",
@@ -52,6 +54,10 @@ __all__ = [
 
 # Generation slot reserved for drawing the initial population.
 _INIT_GENERATION = 0
+
+# Largest accepted population (200x the default): every generation holds and
+# re-evaluates the whole population, so the size bounds memory and time.
+MAX_POPULATION_SIZE = 10_000
 
 
 class PopulationTooSmallError(ValueError):
@@ -98,9 +104,10 @@ class DEConfig:
         object.__setattr__(
             self, "mutation_factor", parse_mutation_factor(self.mutation_factor)
         )
-        if self.population_size < 4:
+        if not 4 <= self.population_size <= MAX_POPULATION_SIZE:
             raise ValueError(
-                f"population_size must be >= 4, got {self.population_size}"
+                f"population_size must be in [4, {MAX_POPULATION_SIZE}], "
+                f"got {self.population_size}"
             )
         if not 0 < self.mutation_factor < 1:
             raise ValueError(
@@ -321,7 +328,7 @@ def step_generation(
 
 def _stat(generation: int, population: Sequence[Individual]) -> GenerationStat:
     fits = [ind.fitness for ind in population]
-    return GenerationStat(generation, max(fits), sum(fits) / len(fits))
+    return GenerationStat(generation, max(fits), ordered_sum(fits) / len(fits))
 
 
 def optimize(

@@ -10,13 +10,25 @@ The special functions needed for the p-values live here too: erfc (double
 precision, delegated to libm) and the chi-square upper tail via the
 regularized incomplete gamma function, implemented with the classic series /
 continued-fraction split so it stays independent of erfc.
+
+Every float sum in a report runs strictly left to right in a fixed order
+(:func:`ordered_sum`), on every supported Python: ``sum()`` of floats uses
+compensated summation since Python 3.12, which would move some reported
+digits between interpreter versions.  Autocorrelation and the compression
+ratio work on whole strings at once (bytes and regex passes) but add the
+same float terms in the same order as a per-bit loop, so their values are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import Iterable
 
 from ecscalar.bitcodec import BitString, shannon_entropy
 from ecscalar.modmath import format_hex
@@ -32,6 +44,7 @@ __all__ = [
     "compression_ratio",
     "erfc",
     "monobit_test",
+    "ordered_sum",
     "run_battery",
     "runs_test",
 ]
@@ -66,6 +79,14 @@ class BatteryReport:
     width: int
     tests: tuple[TestReport, ...]
     overall_pass: bool
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum strictly left to right with plain float additions, starting from
+    int 0 — what ``sum()`` did before Python 3.12 made float sums
+    compensated.  Reports use it so that their digits do not depend on the
+    interpreter version."""
+    return reduce(operator.add, values, 0)
 
 
 def erfc(x: float) -> float:
@@ -174,8 +195,9 @@ def runs_test(s: BitString, alpha: float = ALPHA) -> TestReport:
     """SP 800-22 runs test: V = 1 + number of adjacent unequal bit pairs.
 
     The frequency prerequisite applies first — when the ones proportion pi
-    deviates from 1/2 by 2/sqrt(width) or more, the test is not meaningful
-    and reports p = 0 with a prerequisite flag.
+    deviates from 1/2 by 2/sqrt(width) or more, or the string is constant
+    (which that bound misses below 16 bits), the test is not meaningful and
+    reports p = 0 with a prerequisite flag.
     """
     w = s.width
     ones = s.ones
@@ -187,7 +209,7 @@ def runs_test(s: BitString, alpha: float = ALPHA) -> TestReport:
     aux = {"ones": float(ones), "runs": float(v_obs), "pi": pi}
     if w < RECOMMENDED_MIN_WIDTH:
         aux["below_recommended_width"] = 1.0
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(w):
+    if ones in (0, w) or abs(pi - 0.5) >= 2.0 / math.sqrt(w):
         aux["prerequisite_met"] = 0.0
         return TestReport("runs", float(v_obs), 0.0, False, aux)
     aux["prerequisite_met"] = 1.0
@@ -198,6 +220,40 @@ def runs_test(s: BitString, alpha: float = ALPHA) -> TestReport:
     return TestReport("runs", float(v_obs), p, p >= alpha, aux)
 
 
+# Maps the ASCII digits of ``str(BitString)`` to the byte values 0 and 1.
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+# A maximal run of equal bits.
+_RUN = "0+|1+"
+
+
+def _gather(table: tuple[float, ...], indices: bytes) -> tuple[float, ...]:
+    # itemgetter with a single index returns the bare item, not a 1-tuple.
+    if len(indices) == 1:
+        return (table[indices[0]],)
+    return operator.itemgetter(*indices)(table)
+
+
+def _centered(s: BitString) -> tuple[bytes, float, float]:
+    """The bits as bytes of value 0/1 (MSB first), their mean, and the
+    centered sum of squares, added in bit order."""
+    bits = str(s).encode().translate(_DIGIT_TO_BIT)
+    mean = s.ones / s.width
+    denom = ordered_sum(_gather(((0 - mean) ** 2, (1 - mean) ** 2), bits))
+    return bits, mean, denom
+
+
+def _lag_numerator(bits: bytes, mean: float, lag: int) -> float:
+    """Sum of (bits[j] - mean) * (bits[j+lag] - mean) over j in [0, width-lag),
+    added in order of j.  Byte j of ``codes`` is bits[j] + 2*bits[j+lag]; one
+    whole-string add computes it and cannot carry, as every byte stays <= 3."""
+    n = len(bits) - lag
+    codes = (
+        int.from_bytes(bits[:n], "big") + 2 * int.from_bytes(bits[lag:], "big")
+    ).to_bytes(n, "big")
+    products = tuple((a - mean) * (b - mean) for b in (0, 1) for a in (0, 1))
+    return ordered_sum(_gather(products, codes))
+
+
 def autocorrelation(s: BitString, lag: int) -> TestReport:
     """Sample autocorrelation of the bit sequence with its lag-shifted self.
 
@@ -205,26 +261,19 @@ def autocorrelation(s: BitString, lag: int) -> TestReport:
     centered products over positions [0, width-lag) while the denominator is
     the full centered sum of squares, so |r| <= 1 and r(0) = 1.  Constant
     sequences are degenerate (zero variance) and report r = 0 with a flag.
+    Both sums add their terms in bit order (:func:`ordered_sum`).
     Statistic only — no p-value.
     """
     if not 0 <= lag < s.width:
         raise ValueError(f"lag {lag} out of range for width {s.width}")
-    bits = [(s.value >> (s.width - 1 - j)) & 1 for j in range(s.width)]
-    mean = sum(bits) / s.width
-    denom = sum((b - mean) ** 2 for b in bits)
+    bits, mean, denom = _centered(s)
     aux = {"lag": float(lag)}
     if denom == 0.0:
         aux["degenerate"] = 1.0
         return TestReport("autocorrelation", 0.0, None, True, aux)
-    num = sum(
-        (bits[j] - mean) * (bits[j + lag] - mean) for j in range(s.width - lag)
+    return TestReport(
+        "autocorrelation", _lag_numerator(bits, mean, lag) / denom, None, True, aux
     )
-    return TestReport("autocorrelation", num / denom, None, True, aux)
-
-
-def _elias_gamma_length(m: int) -> int:
-    # Gamma code of m >= 1: floor(log2 m) zeros then the binary digits.
-    return 2 * (m.bit_length() - 1) + 1
 
 
 def _run_lengths(s: BitString) -> list[int]:
@@ -289,16 +338,18 @@ def rle_gamma_decode(encoded: BitString, width: int) -> BitString:
 
 def compression_ratio(s: BitString) -> TestReport:
     """Deterministic compressibility metric: emitted_bits / width under the
-    run-length + Elias-gamma scheme.  Highly structured input compresses
-    well (low ratio); a random string does not.  Statistic only."""
-    encoded = rle_gamma_encode(s)
-    ratio = encoded.width / s.width
+    run-length + Elias-gamma scheme of :func:`rle_gamma_encode`.  Highly
+    structured input compresses well (low ratio); a random string does not.
+    The length is counted without encoding: one symbol bit, then
+    2*bit_length(m) - 1 bits per run of length m.  Statistic only."""
+    runs = re.findall(_RUN, str(s))
+    emitted = 1 + 2 * sum(map(int.bit_length, map(len, runs))) - len(runs)
     return TestReport(
         "compression_ratio",
-        ratio,
+        emitted / s.width,
         None,
         True,
-        {"emitted_bits": float(encoded.width), "runs": float(len(_run_lengths(s)))},
+        {"emitted_bits": float(emitted), "runs": float(len(runs))},
     )
 
 
@@ -314,13 +365,15 @@ def _entropy_report(s: BitString) -> TestReport:
 
 def _autocorrelation_summary(s: BitString) -> TestReport:
     lags = [lag for lag in DEFAULT_LAGS if lag < s.width]
+    # The bits, mean and denominator are shared by every lag.
+    bits, mean, denom = _centered(s)
     aux: dict[str, float] = {}
     values = []
     for lag in lags:
-        r = autocorrelation(s, lag).statistic
+        r = 0.0 if denom == 0.0 else _lag_numerator(bits, mean, lag) / denom
         aux[f"lag_{lag}"] = r
         values.append(abs(r))
-    mean_abs = sum(values) / len(values) if values else 0.0
+    mean_abs = ordered_sum(values) / len(values) if values else 0.0
     return TestReport("autocorrelation", mean_abs, None, True, aux)
 
 

@@ -9,6 +9,7 @@ from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
 from ecscalar.cli import main
+from ecscalar.de_opt import MAX_POPULATION_SIZE
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -148,6 +149,37 @@ class TestAudit:
     def test_exit_zero_even_when_battery_fails(self, capsys):
         doc = _run_json(capsys, "audit", "--width", "128", "0x0")
         assert doc["overall_pass"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("0x0", "--curve", "toy29"),
+            ("0xff", "--width", "8"),
+            ("0x0", "--width", "15"),
+        ],
+    )
+    def test_short_constant_scalar_fails_without_a_crash(self, capsys, argv):
+        code, out, err = _run(capsys, "audit", *argv)
+        assert code == 0, err
+        assert err == ""
+        doc = json.loads(out)
+        _validator("audit.schema.json").validate(doc)
+        assert doc["overall_pass"] is False
+        runs = [t for t in doc["tests"] if t["name"] == "runs"][0]
+        assert runs["p_value"] == 0.0
+        assert runs["auxiliary"]["prerequisite_met"] == 0.0
+
+    def test_golden_p256_autocorrelation(self, capsys):
+        # Float sums run left to right on every Python version; compensated
+        # sum() (Python 3.12+) would print 0.0457813 for this scalar.
+        doc = _run_json(
+            capsys, "audit", "--curve", "p256",
+            "0x39e0f596912f884f15dec22391e86e438ccbd3314193bf911224f124d8a04d57",
+        )
+        autocorrelation = [
+            t for t in doc["tests"] if t["name"] == "autocorrelation"
+        ][0]
+        assert autocorrelation["statistic"] == 0.0457812
 
     def test_needs_width_or_curve(self, capsys):
         code, _, err = _run(capsys, "audit", "0x13")
@@ -320,6 +352,29 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "--mutation-factor" in err and "Traceback" not in err
+
+    def test_population_over_the_cap_flag_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "generate", "--curve", "toy29", "--seed", "1",
+            "--population-size", str(MAX_POPULATION_SIZE + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert "population_size" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_population_over_the_cap_config_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text(f"population_size = {MAX_POPULATION_SIZE + 1}\n")
+        code, out, err = _run(
+            capsys, "benchmark", "--curve", "toy29", "--seed", "1",
+            "--out", str(tmp_path / "rows.csv"), "--config", str(config),
+        )
+        assert code == 2
+        assert out == ""
+        assert "population_size" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_zero_denominator_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

@@ -8,6 +8,7 @@ import pytest
 from ecscalar import _fallback
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.de_opt import (
+    MAX_POPULATION_SIZE,
     DEConfig,
     Individual,
     PopulationTooSmallError,
@@ -55,6 +56,8 @@ class TestConfig:
         "kwargs",
         [
             {"population_size": 3},
+            {"population_size": MAX_POPULATION_SIZE + 1},
+            {"population_size": 10**8},
             {"mutation_factor": Fraction(1, 1)},
             {"mutation_factor": 0},
             {"crossover_rate": 1.5},
@@ -66,6 +69,11 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DEConfig(**kwargs)
+
+    def test_population_cap_is_accepted(self):
+        # Construction only: a run at the cap is never started here.
+        config = DEConfig(population_size=MAX_POPULATION_SIZE)
+        assert config.population_size == MAX_POPULATION_SIZE == 10_000
 
     def test_as_dict_echo(self):
         echo = DEConfig(seed=7).as_dict()

@@ -11,12 +11,14 @@ from ecscalar.bitcodec import BitString, to_bits
 from ecscalar.statbattery import (
     ALPHA,
     DEFAULT_LAGS,
+    _run_lengths,
     autocorrelation,
     chi2_sf,
     chi_square_bits,
     compression_ratio,
     erfc,
     monobit_test,
+    ordered_sum,
     rle_gamma_decode,
     rle_gamma_encode,
     run_battery,
@@ -34,6 +36,54 @@ def _alternating(width):
 
 def _random_bits(width, seed):
     return BitString(random.Random(seed).getrandbits(width) % (1 << width), width)
+
+
+def _reference_autocorrelation(s, lag):
+    """The per-bit list computation, adding every term strictly in bit order
+    (what ``sum()`` did before Python 3.12)."""
+    bits = [(s.value >> (s.width - 1 - j)) & 1 for j in range(s.width)]
+    mean = sum(bits) / s.width
+    denom = 0
+    for b in bits:
+        denom += (b - mean) ** 2
+    if denom == 0.0:
+        return 0.0
+    num = 0
+    for j in range(s.width - lag):
+        num += (bits[j] - mean) * (bits[j + lag] - mean)
+    return num / denom
+
+
+@st.composite
+def _bit_strings(draw, min_width=1, max_width=600):
+    """Random strings mixed with the edge shapes: all zeros, all ones,
+    alternating, and a single set bit."""
+    width = draw(st.integers(min_value=min_width, max_value=max_width))
+    kind = draw(st.sampled_from(["random", "zeros", "ones", "alternating", "single"]))
+    if kind == "zeros":
+        return BitString(0, width)
+    if kind == "ones":
+        return BitString((1 << width) - 1, width)
+    if kind == "alternating":
+        return _alternating(width)
+    if kind == "single":
+        return BitString(1 << draw(st.integers(0, width - 1)), width)
+    return BitString(draw(st.integers(0, (1 << width) - 1)), width)
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # Compensated summation (sum() since Python 3.12) returns 1.0 here.
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_matches_a_plain_loop(self):
+        rng = random.Random(3)
+        values = [rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(500)]
+        total = 0
+        for v in values:
+            total += v
+        assert ordered_sum(values) == total
+        assert ordered_sum(iter(values)) == total
 
 
 class TestErfc:
@@ -151,6 +201,20 @@ class TestRuns:
         assert report.auxiliary["prerequisite_met"] == 0.0
         assert not report.passed
 
+    @pytest.mark.parametrize("ones", [False, True])
+    def test_short_constant_fails_prerequisite(self, ones):
+        # Below 16 bits 2/sqrt(width) >= 1/2, so the proportion bound alone
+        # would let pi = 0 or 1 through to a division by pi * (1 - pi).
+        for width in range(1, 17):
+            s = BitString((1 << width) - 1 if ones else 0, width)
+            report = runs_test(s)
+            assert report.p_value == 0.0
+            assert report.auxiliary["prerequisite_met"] == 0.0
+            assert report.auxiliary["pi"] == float(ones)
+            assert not report.passed
+            if width >= 2:
+                assert not run_battery(s).overall_pass
+
     def test_hand_counted_example(self):
         s = BitString(0b1001101011, 10)
         report = runs_test(s)
@@ -208,6 +272,29 @@ class TestAutocorrelation:
                     num / den, abs=1e-12
                 )
 
+    @given(_bit_strings())
+    @settings(max_examples=80, deadline=None)
+    def test_every_lag_equals_per_bit_reference_exactly(self, s):
+        for lag in range(s.width):
+            assert autocorrelation(s, lag).statistic == _reference_autocorrelation(
+                s, lag
+            )
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 63, 64, 65, 192, 256, 600])
+    def test_edge_shapes_equal_reference_exactly(self, width):
+        shapes = [
+            BitString(0, width),
+            BitString((1 << width) - 1, width),
+            _alternating(width),
+            BitString(1, width),
+            BitString(1 << (width - 1), width),
+        ]
+        for s in shapes:
+            for lag in range(width):
+                assert autocorrelation(
+                    s, lag
+                ).statistic == _reference_autocorrelation(s, lag)
+
     def test_complement_invariant_and_bounded(self):
         for seed in range(20):
             s = _random_bits(200, seed)
@@ -244,6 +331,15 @@ class TestCompression:
                 > compression_ratio(_alternating(256)).statistic
                 > compression_ratio(BitString(0, 256)).statistic
             )
+
+    @given(_bit_strings())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_the_encoder_exactly(self, s):
+        report = compression_ratio(s)
+        encoded_width = rle_gamma_encode(s).width
+        assert report.auxiliary["emitted_bits"] == encoded_width
+        assert report.auxiliary["runs"] == len(_run_lengths(s))
+        assert report.statistic == encoded_width / s.width
 
     @given(st.integers(min_value=1, max_value=200), st.data())
     @settings(max_examples=100, deadline=None)
@@ -296,6 +392,19 @@ class TestBattery:
         by_name = {t.test_name: t for t in report.tests}
         aux = by_name["autocorrelation"].auxiliary
         assert set(aux) == {"lag_2", "lag_4"}
+
+    @given(_bit_strings(min_width=2))
+    @settings(max_examples=80, deadline=None)
+    def test_autocorrelation_summary_equals_reference_exactly(self, s):
+        report = run_battery(s)
+        summary = {t.test_name: t for t in report.tests}["autocorrelation"]
+        lags = [lag for lag in DEFAULT_LAGS if lag < s.width]
+        expected = {f"lag_{lag}": _reference_autocorrelation(s, lag) for lag in lags}
+        assert summary.auxiliary == expected
+        mean_abs = 0
+        for r in expected.values():
+            mean_abs += abs(r)
+        assert summary.statistic == (mean_abs / len(lags) if lags else 0.0)
 
     def test_verdict_is_conjunction_of_p_valued_tests(self):
         report = run_battery(_random_bits(256, 1))
