@@ -18,9 +18,7 @@ any report can be reproduced from the manifest alone.
 from __future__ import annotations
 
 import argparse
-import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any
 
@@ -128,6 +126,8 @@ def _build_config(args: argparse.Namespace) -> tuple[DEConfig, str]:
     if "seed" in merged:
         seed_source = "flag" if getattr(args, "seed", None) is not None else "config-file"
     else:
+        import secrets  # only seedless runs need it; kept off the import path
+
         merged["seed"] = secrets.randbits(64)
         seed_source = "system-entropy"
     return DEConfig(**merged), seed_source
@@ -226,6 +226,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         return _benchmark_trial(entry, config, master_seed, trial)
 
     if args.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             per_trial = list(pool.map(run, range(args.trials)))
     else:

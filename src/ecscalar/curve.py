@@ -1,10 +1,14 @@
-"""Short-Weierstrass elliptic curves over prime fields, in affine form.
+"""Short-Weierstrass elliptic curves over prime fields.
 
-The group law is implemented directly from the slope formulas — generic
-chord slope (y2 - y1)/(x2 - x1), tangent slope (3x^2 + a)/(2y) — with the
-point at infinity as identity.  Affine coordinates keep the code an exact
-transcription of the textbook formulas; throughput is more than adequate for
-desk-scale work (a 256-bit scalar multiplication is a few milliseconds).
+Points are affine at the API.  The group law ``point_add`` is implemented
+directly from the slope formulas — generic chord slope (y2 - y1)/(x2 - x1),
+tangent slope (3x^2 + a)/(2y) — with the point at infinity as identity, and
+serves as the reference for everything else here.  ``scalar_mul`` works in
+Jacobian coordinates internally (general-``a`` formulas, Hankerson, Menezes
+and Vanstone, *Guide to Elliptic Curve Cryptography*, §3.2), so a whole
+multiplication costs one field inversion instead of one per step.  A 256-bit
+scalar multiplication takes about 2.5-3.5 ms, against 14-16 ms with affine
+steps (CPython 3.11 on a 2-vCPU x86-64 VM; benchmarks/curve_bench.py).
 
 Also provides exhaustive point enumeration for small fields, the Hasse
 interval check, and whole-curve parameter validation.
@@ -14,9 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ecscalar.modmath import is_probable_prime
+
 __all__ = [
     "ENUMERATION_LIMIT",
     "INFINITY",
+    "PRIMALITY_ROUNDS",
     "CurveParams",
     "CurveValidation",
     "FieldTooLargeError",
@@ -32,6 +39,9 @@ __all__ = [
 
 # Exhaustive enumeration is O(p); the guard keeps it interactive.
 ENUMERATION_LIMIT = 1 << 20
+
+# Miller-Rabin rounds for the field prime (and, in the registry, for n).
+PRIMALITY_ROUNDS = 64
 
 
 class FieldTooLargeError(ValueError):
@@ -129,22 +139,65 @@ def point_add(p1: Point, p2: Point, params: CurveParams) -> Point:
     return Point(x3, y3)
 
 
+def _double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, int]:
+    """2*(X, Y, Z) in Jacobian coordinates: S = 4XY^2, M = 3X^2 + aZ^4.
+
+    y = 0 (a 2-torsion point) or z = 0 (the identity) gives z3 = 0.
+    """
+    yy = y * y % p
+    zz = z * z % p
+    s = 4 * x * yy % p
+    m = (3 * x * x + a * (zz * zz % p)) % p
+    x3 = (m * m - 2 * s) % p
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+
 def scalar_mul(k: int, point: Point, params: CurveParams) -> Point:
     """k*P by left-to-right double-and-add (most significant bit first).
 
     Any k >= 0 is accepted — in particular k = n, so the order check
-    n*G = O is expressible.  k = 0 gives the identity.
+    n*G = O is expressible.  k = 0 gives the identity.  The accumulator is
+    kept in Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3), with Z = 0 for
+    the identity; adding P is a mixed addition (P has Z = 1).  The only
+    inversion is the one in the final conversion back to affine, so
+    ``params.p`` must be prime.
     """
     if k < 0:
         raise ValueError(f"scalar must be non-negative, got {k}")
     if k == 0 or point.is_infinity:
         return INFINITY
-    acc = INFINITY
-    for bit in format(k, "b"):
-        acc = point_add(acc, acc, params)
-        if bit == "1":
-            acc = point_add(acc, point, params)
-    return acc
+    p, a = params.p, params.a
+    if a > p >> 1:
+        a -= p  # the small negative representative: a = -3 on the NIST curves
+    px, py = point.x % p, point.y % p
+    x, y, z = px, py, 1
+    for bit in format(k, "b")[1:]:
+        x, y, z = _double(x, y, z, a, p)
+        if bit == "0":
+            continue
+        if z == 0:
+            x, y, z = px, py, 1
+            continue
+        # Mixed addition of (px, py): H = px*Z^2 - X, R = py*Z^3 - Y.
+        zz = z * z % p
+        h = (px * zz - x) % p
+        r = (py * zz * z - y) % p
+        if h == 0:
+            # acc == P doubles; acc == -P gives the identity.
+            x, y, z = _double(x, y, z, a, p) if r == 0 else (1, 1, 0)
+            continue
+        hh = h * h % p
+        hhh = h * hh % p
+        v = x * hh % p
+        x3 = (r * r - hhh - 2 * v) % p
+        y = (r * (v - x3) - y * hhh) % p
+        z = z * h % p
+        x = x3
+    if z == 0:
+        return INFINITY
+    z_inv = pow(z, -1, p)
+    z_inv2 = z_inv * z_inv % p
+    return Point(x * z_inv2 % p, y * z_inv2 * z_inv % p)
 
 
 def enumerate_points(params: CurveParams) -> list[Point]:
@@ -183,13 +236,14 @@ def hasse_check(count: int, p: int) -> bool:
 
 @dataclass(frozen=True)
 class CurveValidation:
-    """Outcome of the three independent parameter checks, plus the residue
+    """Outcome of the four independent parameter checks, plus the residue
     4a^3 + 27b^2 mod p actually computed for the discriminant test."""
 
     discriminant_residue: int
     discriminant_nonzero: bool
     generator_on_curve: bool
     order_annihilates_generator: bool
+    modulus_prime: bool
 
     @property
     def ok(self) -> bool:
@@ -197,6 +251,7 @@ class CurveValidation:
             self.discriminant_nonzero
             and self.generator_on_curve
             and self.order_annihilates_generator
+            and self.modulus_prime
         )
 
     def failures(self) -> list[str]:
@@ -207,24 +262,29 @@ class CurveValidation:
             out.append("base point is not on the curve")
         if not self.order_annihilates_generator:
             out.append("n*G is not the point at infinity")
+        if not self.modulus_prime:
+            out.append("field modulus fails the primality test")
         return out
 
 
 def validate_curve(params: CurveParams) -> CurveValidation:
-    """Check non-singularity, base-point membership, and n*G = O.
+    """Check non-singularity, base-point membership, n*G = O, and a
+    PRIMALITY_ROUNDS-round Miller-Rabin test on p.
 
     Each check is reported independently; nothing raises.  The n*G check is
-    skipped (reported failed) when the generator is off-curve, since the
-    group law is undefined there.
+    skipped (reported failed) when the generator is off-curve or p is
+    composite, since the group law is undefined there.
     """
     residue = (4 * params.a**3 + 27 * params.b**2) % params.p
     on_curve = is_on_curve(params.g, params)
+    prime = is_probable_prime(params.p, PRIMALITY_ROUNDS)
     annihilates = False
-    if on_curve and not params.g.is_infinity:
+    if prime and on_curve and not params.g.is_infinity:
         annihilates = scalar_mul(params.n, params.g, params).is_infinity
     return CurveValidation(
         discriminant_residue=residue,
         discriminant_nonzero=residue != 0,
         generator_on_curve=on_curve,
         order_annihilates_generator=annihilates,
+        modulus_prime=prime,
     )

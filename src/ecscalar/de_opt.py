@@ -24,16 +24,18 @@ the number of workers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ecscalar import kernels
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.curve import CurveParams
 from ecscalar.rng import SplitMix64, bernoulli_threshold, substream
 from ecscalar.statbattery import ordered_sum
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "DEConfig",
@@ -369,6 +371,8 @@ def optimize(
     executor = None
     try:
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             executor = ThreadPoolExecutor(max_workers=workers)
         if not converged():
             for t in range(1, config.max_generations + 1):

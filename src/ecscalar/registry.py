@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from ecscalar.curve import CurveParams, Point, validate_curve
+from ecscalar.curve import PRIMALITY_ROUNDS, CurveParams, Point, validate_curve
 from ecscalar.modmath import is_probable_prime, parse_hex
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "load_file",
     "parse_kv_text",
 ]
-
-PRIMALITY_ROUNDS = 64
 
 
 class UnknownCurveError(ValueError):
@@ -146,8 +144,6 @@ def builtin_names() -> tuple[str, ...]:
 def _validate_entry(entry: RegistryEntry, check_n_prime: bool) -> None:
     params = entry.params
     problems = validate_curve(params).failures()
-    if not is_probable_prime(params.p, PRIMALITY_ROUNDS):
-        problems.append("field modulus fails the primality test")
     if check_n_prime and not is_probable_prime(params.n, PRIMALITY_ROUNDS):
         problems.append("base point order fails the primality test")
     if problems:

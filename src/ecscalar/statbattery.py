@@ -295,45 +295,38 @@ def _run_lengths(s: BitString) -> list[int]:
 def rle_gamma_encode(s: BitString) -> BitString:
     """Run-length encode: 1 bit for the first run's value, then the
     Elias-gamma code of each run length, concatenated MSB first."""
-    out_bits = [s.bit(0)]
-    for m in _run_lengths(s):
-        out_bits.extend([0] * (m.bit_length() - 1))
-        out_bits.extend(int(d) for d in format(m, "b"))
-    value = 0
-    for b in out_bits:
-        value = (value << 1) | b
-    return BitString(value, len(out_bits))
+    text = str(s)
+    codes = [text[0]]
+    for run in re.findall(_RUN, text):
+        m = format(len(run), "b")
+        codes.append("0" * (len(m) - 1))
+        codes.append(m)
+    encoded = "".join(codes)
+    return BitString(int(encoded, 2), len(encoded))
 
 
 def rle_gamma_decode(encoded: BitString, width: int) -> BitString:
     """Inverse of :func:`rle_gamma_encode`; ``width`` is the original length."""
-    pos = 0
-
-    def take() -> int:
-        nonlocal pos
-        if pos >= encoded.width:
+    text = str(encoded)
+    symbol = text[0]
+    pos = 1
+    total = 0
+    runs: list[str] = []
+    while total < width:
+        one = text.find("1", pos)
+        end = 2 * one - pos + 1  # gamma code: z zeros, then z + 1 digits
+        if one < 0 or end > len(text):
             raise ValueError("truncated run-length stream")
-        b = encoded.bit(pos)
-        pos += 1
-        return b
-
-    symbol = take()
-    bits: list[int] = []
-    while len(bits) < width:
-        zeros = 0
-        while take() == 0:
-            zeros += 1
-        m = 1
-        for _ in range(zeros):
-            m = (m << 1) | take()
-        bits.extend([symbol] * m)
-        symbol ^= 1
-    if len(bits) != width or pos != encoded.width:
+        m = int(text[one:end], 2)
+        total += m
+        if total > width:
+            raise ValueError("run-length stream does not match the stated width")
+        runs.append(symbol * m)
+        symbol = "1" if symbol == "0" else "0"
+        pos = end
+    if total != width or pos != len(text):
         raise ValueError("run-length stream does not match the stated width")
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return BitString(value, width)
+    return BitString(int("".join(runs), 2), width)
 
 
 def compression_ratio(s: BitString) -> TestReport:

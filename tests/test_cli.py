@@ -1,6 +1,9 @@
 """Command-line front end: commands, exit codes, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -329,6 +332,18 @@ class TestConfigFile:
             capsys, "generate", "--curve", str(curve_file), "--seed", "2")
         assert doc["manifest"]["curve"] == "mini"
 
+    def test_composite_field_prime_exits_3(self, capsys, tmp_path):
+        curve_file = tmp_path / "c33.curve"
+        curve_file.write_text(
+            "name = c33\np = 0x21\na = 0x1\nb = 0x20\n"
+            "gx = 0x1\ngy = 0x1\nn = 0x5\n"
+        )
+        code, out, err = _run(
+            capsys, "generate", "--curve", str(curve_file), "--seed", "1")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "field modulus fails the primality test" in err
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
@@ -387,3 +402,19 @@ class TestUsage:
         assert out == ""
         assert "zero denominator" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_import_leaves_unused_modules_unloaded():
+    # secrets serves only seedless runs and concurrent.futures only
+    # --workers > 1; neither belongs on every command's import path.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, ecscalar.cli; "
+        "print([m for m in ('secrets', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
 """Group law, enumeration, Hasse bound, and parameter validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecscalar.curve import (
     ENUMERATION_LIMIT,
@@ -16,6 +18,7 @@ from ecscalar.curve import (
     scalar_mul,
     validate_curve,
 )
+from ecscalar.registry import MISPRINTED_P224_GX, MISPRINTED_P256_GY, load_builtin
 from reference_data import TOY29_AFFINE_TABLE
 
 G = Point(0, 7)
@@ -100,6 +103,70 @@ class TestScalarMul:
         assert scalar_mul(38, G, toy29) == G
 
 
+def _affine_ladder(k, point, params):
+    """k*P by right-to-left double-and-add on the affine ``point_add``."""
+    acc, addend = INFINITY, point
+    while k:
+        if k & 1:
+            acc = point_add(acc, addend, params)
+        addend = point_add(addend, addend, params)
+        k >>= 1
+    return acc
+
+
+def _assert_matches_repeated_addition(point, params, k_max):
+    acc = INFINITY
+    for k in range(k_max + 1):
+        assert scalar_mul(k, point, params) == acc, (point, k)
+        acc = point_add(acc, point, params)
+
+
+# y^2 = x^3 + x over F_13: 20 points, three of them 2-torsion (y = 0), so
+# the ladder meets doubling to infinity, acc == P and acc == -P.
+F13 = CurveParams(name="f13", p=13, a=1, b=0, g=Point(0, 0), n=2)
+
+
+class TestScalarMulAgainstAffineOracle:
+    def test_every_toy29_point_and_scalar(self, toy29):
+        for point in enumerate_points(toy29):
+            _assert_matches_repeated_addition(point, toy29, 2 * toy29.n + 1)
+
+    def test_curve_with_two_torsion(self):
+        points = enumerate_points(F13)
+        assert len(points) == 20
+        assert [pt for pt in points if pt.y == 0] == [
+            Point(0, 0),
+            Point(5, 0),
+            Point(8, 0),
+        ]
+        for point in points:
+            _assert_matches_repeated_addition(point, F13, 2 * len(points) + 1)
+        assert scalar_mul(2, Point(5, 0), F13) == INFINITY
+        assert scalar_mul(3, Point(5, 0), F13) == Point(5, 0)
+
+    @pytest.mark.parametrize("name", ["p192", "p224", "p256"])
+    def test_nist_edge_scalars(self, name):
+        params = load_builtin(name).params
+        g, n = params.g, params.n
+        expected = {
+            n - 1: negate(g, params),
+            n: INFINITY,
+            n + 1: g,
+            2 * n: INFINITY,
+        }
+        for k, point in expected.items():
+            assert scalar_mul(k, g, params) == point
+            assert _affine_ladder(k, g, params) == point
+
+    @pytest.mark.parametrize("name", ["p192", "p224", "p256"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_random_nist_scalars(self, name, data):
+        params = load_builtin(name).params
+        k = data.draw(st.integers(min_value=0, max_value=2 * params.n))
+        assert scalar_mul(k, params.g, params) == _affine_ladder(k, params.g, params)
+
+
 class TestEnumerate:
     def test_toy29_full_table(self, toy29):
         points = enumerate_points(toy29)
@@ -177,6 +244,68 @@ class TestValidateCurve:
         v = validate_curve(params)
         assert v.generator_on_curve
         assert not v.order_annihilates_generator
+
+
+class TestValidateCurveVerdicts:
+    """The verdicts, checked against the affine oracle for the order."""
+
+    @staticmethod
+    def _expected(params):
+        on_curve = is_on_curve(params.g, params)
+        return (
+            True,
+            on_curve,
+            on_curve and _affine_ladder(params.n, params.g, params).is_infinity,
+            True,
+        )
+
+    @staticmethod
+    def _verdicts(params):
+        v = validate_curve(params)
+        return (
+            v.discriminant_nonzero,
+            v.generator_on_curve,
+            v.order_annihilates_generator,
+            v.modulus_prime,
+        )
+
+    @pytest.mark.parametrize("name", ["p192", "p224", "p256", "toy29"])
+    def test_builtins(self, name):
+        params = load_builtin(name).params
+        assert self._verdicts(params) == self._expected(params) == (True,) * 4
+
+    @pytest.mark.parametrize(
+        "name, misprint",
+        [
+            ("p224", lambda g: Point(MISPRINTED_P224_GX, g.y)),
+            ("p256", lambda g: Point(g.x, MISPRINTED_P256_GY)),
+        ],
+    )
+    def test_misprinted_generators(self, name, misprint):
+        shipped = load_builtin(name).params
+        params = CurveParams(
+            f"{name}-misprint",
+            shipped.p,
+            shipped.a,
+            shipped.b,
+            misprint(shipped.g),
+            shipped.n,
+        )
+        expected = (True, False, False, True)
+        assert self._verdicts(params) == self._expected(params) == expected
+
+    def test_composite_modulus_skips_the_group_law(self):
+        # p = 33 = 3 * 11 and G = (1, 1) satisfies y^2 = x^3 + x + 32 mod 33,
+        # but affine slopes there need inverses mod a composite.
+        params = CurveParams(name="c33", p=33, a=1, b=32, g=Point(1, 1), n=5)
+        v = validate_curve(params)
+        assert v.generator_on_curve and v.discriminant_nonzero
+        assert not v.modulus_prime
+        assert not v.order_annihilates_generator
+        assert v.failures() == [
+            "n*G is not the point at infinity",
+            "field modulus fails the primality test",
+        ]
 
 
 class TestHomomorphismSmall:

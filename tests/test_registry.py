@@ -165,6 +165,21 @@ class TestCurveFiles:
         with pytest.raises(RegistryValidationError, match="primality"):
             load_file(path)
 
+    def test_composite_modulus_with_on_curve_generator_rejected(self, tmp_path):
+        # G = (1, 1) lies on y^2 = x^3 + x + 32 mod 33; the composite p must
+        # be reported, not reached by the group law.
+        path = _toy_file(
+            tmp_path, p="0x21", a="0x1", b="0x20", gx="0x1", gy="0x1", n="0x5"
+        )
+        with pytest.raises(RegistryValidationError) as info:
+            load_file(path)
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.endswith(
+            "n*G is not the point at infinity; "
+            "field modulus fails the primality test"
+        )
+
     def test_nonexistent_path(self):
         with pytest.raises(CurveFileError, match="cannot read"):
             load_file("/nonexistent/nope.curve")

@@ -54,6 +54,25 @@ def _reference_autocorrelation(s, lag):
     return num / denom
 
 
+def _reference_rle_gamma_encode(s):
+    """One bit at a time: the first bit, then per run of length m,
+    bit_length(m) - 1 zeros followed by m in binary."""
+    bits = [(s.value >> (s.width - 1 - j)) & 1 for j in range(s.width)]
+    out = [bits[0]]
+    run = 1
+    for j in range(1, s.width + 1):
+        if j < s.width and bits[j] == bits[j - 1]:
+            run += 1
+            continue
+        out.extend([0] * (run.bit_length() - 1))
+        out.extend((run >> i) & 1 for i in range(run.bit_length() - 1, -1, -1))
+        run = 1
+    value = 0
+    for b in out:
+        value = (value << 1) | b
+    return BitString(value, len(out))
+
+
 @st.composite
 def _bit_strings(draw, min_width=1, max_width=600):
     """Random strings mixed with the edge shapes: all zeros, all ones,
@@ -347,6 +366,28 @@ class TestCompression:
         value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
         s = BitString(value, width)
         assert rle_gamma_decode(rle_gamma_encode(s), width) == s
+
+    @given(_bit_strings(max_width=600))
+    @settings(max_examples=150, deadline=None)
+    def test_encoder_matches_the_per_bit_reference(self, s):
+        assert rle_gamma_encode(s) == _reference_rle_gamma_encode(s)
+
+    def test_roundtrip_at_100000_bits(self):
+        s = _random_bits(100_000, 7)
+        encoded = rle_gamma_encode(s)
+        assert encoded.width == compression_ratio(s).auxiliary["emitted_bits"]
+        assert rle_gamma_decode(encoded, s.width) == s
+
+    @pytest.mark.parametrize(
+        "cut, width_delta, message",
+        [(1, 0, "truncated"), (0, 1, "truncated"), (0, -1, "does not match")],
+    )
+    def test_decode_rejects_a_damaged_stream(self, cut, width_delta, message):
+        s = _random_bits(300, 3)
+        encoded = rle_gamma_encode(s)
+        damaged = BitString(encoded.value >> cut, encoded.width - cut)
+        with pytest.raises(ValueError, match=message):
+            rle_gamma_decode(damaged, s.width + width_delta)
 
 
 class TestBattery:
