@@ -5,8 +5,8 @@ Prints microseconds per call of ``run_battery``, ``autocorrelation`` (lag 2)
 and ``compression_ratio`` at the three production widths and at 100 000
 bits.  Every timed result is compared with a per-bit reference: the list
 computation of the autocorrelation, adding its terms strictly in bit order,
-and the length of the actual run-length + Elias-gamma encoding.  Any
-difference is a bug, and the script exits non-zero.
+the length of the actual run-length + Elias-gamma encoding, and a bit-by-bit
+count of the runs.  Any difference is a bug, and the script exits non-zero.
 
 Run from the repository root:
 
@@ -19,7 +19,6 @@ import time
 from ecscalar.bitcodec import BitString
 from ecscalar.statbattery import (
     DEFAULT_LAGS,
-    _run_lengths,
     autocorrelation,
     compression_ratio,
     rle_gamma_encode,
@@ -42,6 +41,17 @@ def reference_autocorrelation(s, lag):
     for j in range(s.width - lag):
         num += (bits[j] - mean) * (bits[j + lag] - mean)
     return num / denom
+
+
+def reference_run_lengths(s):
+    text = str(s)
+    lengths = [1]
+    for prev, bit in zip(text, text[1:]):
+        if bit == prev:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
 
 
 def per_call_us(fn, calls):
@@ -69,7 +79,7 @@ def check(s, battery, auto, compression):
     encoded = rle_gamma_encode(s).width
     if (
         compression.auxiliary["emitted_bits"] != encoded
-        or compression.auxiliary["runs"] != len(_run_lengths(s))
+        or compression.auxiliary["runs"] != len(reference_run_lengths(s))
         or compression.statistic != encoded / s.width
     ):
         mismatches.append("compression_ratio()")

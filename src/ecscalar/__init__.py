@@ -2,10 +2,12 @@
 
 Library surface:
 
-* :mod:`ecscalar.modmath` — prime-field arithmetic and hex codecs
-* :mod:`ecscalar.curve` — affine short-Weierstrass group law and tooling
+* :mod:`ecscalar.modmath` — hex codecs and the primality test
+* :mod:`ecscalar.curve` — short-Weierstrass group law (Jacobian ``k·P``)
+  and tooling
 * :mod:`ecscalar.bitcodec` — fixed-width bit strings and Shannon entropy
 * :mod:`ecscalar.de_opt` — the differential-evolution scalar search
+* :mod:`ecscalar.kernels` — the word-parallel crossover mask
 * :mod:`ecscalar.statbattery` — randomness tests and special functions
 * :mod:`ecscalar.registry` — built-in and user-supplied curve parameters
 * :mod:`ecscalar.cli` — the ``ecscalar`` command-line front end

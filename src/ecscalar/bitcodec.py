@@ -14,9 +14,6 @@ from typing import Iterator
 
 __all__ = [
     "BitString",
-    "bit_counts",
-    "from_bits",
-    "imbalance",
     "shannon_entropy",
     "to_bits",
 ]
@@ -60,36 +57,12 @@ class BitString:
     def zeros(self) -> int:
         return self.width - self.value.bit_count()
 
-    def complement(self) -> "BitString":
-        mask = (1 << self.width) - 1
-        return BitString(self.value ^ mask, self.width)
-
 
 def to_bits(k: int, width: int) -> BitString:
     """Encode ``k`` as a width-bit string, MSB first, zero-padded."""
     if k < 0:
         raise OverflowError(f"scalar must be non-negative, got {k}")
     return BitString(k, width)
-
-
-def from_bits(s: BitString) -> int:
-    """Inverse of :func:`to_bits`."""
-    return s.value
-
-
-def bit_counts(s: BitString) -> tuple[int, int]:
-    """(ones, zeros); the two always sum to the width."""
-    ones = s.value.bit_count()
-    return ones, s.width - ones
-
-
-def imbalance(s: BitString) -> int:
-    """|ones - zeros|, an exact integer proxy for entropy ordering.
-
-    Within a fixed width, lower imbalance means strictly higher entropy,
-    so comparisons on this value avoid float rounding entirely.
-    """
-    return abs(2 * s.value.bit_count() - s.width)
 
 
 def shannon_entropy(s: BitString) -> float:

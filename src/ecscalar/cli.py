@@ -144,7 +144,7 @@ def _write_json(doc: dict, out: str | None) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     entry = _load_curve(args.curve)
     config, seed_source = _build_config(args)
-    result = optimize(config, entry.params, width=args.width, workers=args.workers)
+    result = optimize(config, entry.params, width=args.width)
     q = scalar_mul(result.k_opt, entry.params.g, entry.params)
     doc = rpt.optresult_to_dict(result, q)
     doc["manifest"] = rpt.build_manifest(
@@ -220,19 +220,11 @@ def _benchmark_trial(
 def cmd_benchmark(args: argparse.Namespace) -> int:
     entry = _load_curve(args.curve)
     config, seed_source = _build_config(args)
-    master_seed = config.seed
-
-    def run(trial: int) -> list[dict]:
-        return _benchmark_trial(entry, config, master_seed, trial)
-
-    if args.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            per_trial = list(pool.map(run, range(args.trials)))
-    else:
-        per_trial = [run(t) for t in range(args.trials)]
-    rows = [row for pair in per_trial for row in pair]
+    rows = [
+        row
+        for trial in range(args.trials)
+        for row in _benchmark_trial(entry, config, config.seed, trial)
+    ]
 
     summary_stats = {}
     for source in ("random", "optimized"):
@@ -322,7 +314,12 @@ def _add_de_flags(sub: argparse.ArgumentParser) -> None:
         help="always run the full generation budget",
     )
     sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; changes neither output nor speed",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -117,8 +117,8 @@ def point_add(p1: Point, p2: Point, params: CurveParams) -> Point:
     """Group sum of two on-curve points; every degenerate case is defined.
 
     Works on raw residues for speed (this sits under every scalar
-    multiplication); the inverse is the same extended-Euclid pow(x, -1, p)
-    that backs FieldElement.inverse.
+    multiplication); the inverse is CPython's extended-Euclid
+    pow(x, -1, p).
     """
     if p1.is_infinity:
         return p2

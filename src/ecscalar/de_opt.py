@@ -18,24 +18,20 @@ A trial that decodes outside [1, n-1] simply loses selection; nothing is
 re-randomized, so the population always stays valid.
 
 All randomness comes from per-(generation, index) substreams derived from
-the run seed, which makes results independent of evaluation order and of
-the number of workers.
+the run seed, which makes results independent of evaluation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ecscalar import kernels
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.curve import CurveParams
 from ecscalar.rng import SplitMix64, bernoulli_threshold, substream
 from ecscalar.statbattery import ordered_sum
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "DEConfig",
@@ -248,13 +244,11 @@ def crossover(
     mutant: BitString,
     c_r: float,
     rng: SplitMix64,
-    impl=None,
 ) -> BitString:
     """Binomial crossover: per-position Bernoulli(c_r) choice of mutant bit,
     with position j_rand forced from the mutant.
 
-    Draws j_rand plus exactly ``width`` mask draws from ``rng``; the mask
-    generation runs in the compiled kernel when available.
+    Draws j_rand plus exactly ``width`` mask draws from ``rng``.
     """
     if target.width != mutant.width:
         raise ValueError(
@@ -263,7 +257,7 @@ def crossover(
     width = target.width
     j_rand = rng.next_below(width)
     mask, rng.state = kernels.crossover_fill(
-        rng.state, width, bernoulli_threshold(c_r), j_rand, impl=impl
+        rng.state, width, bernoulli_threshold(c_r), j_rand
     )
     trial = (mutant.value & mask) | (target.value & ~mask)
     return BitString(trial, width)
@@ -285,7 +279,6 @@ def _propose(
     n: int,
     width: int,
     generation: int,
-    impl,
 ) -> Individual | None:
     """Trial for slot i, or None when it decodes outside [1, n-1]."""
     stream = substream(config.seed, generation, i)
@@ -295,7 +288,6 @@ def _propose(
         to_bits(v, width),
         config.crossover_rate,
         stream,
-        impl=impl,
     )
     if not 1 <= trial_bits.value <= n - 1:
         return None
@@ -308,20 +300,14 @@ def step_generation(
     n: int,
     width: int,
     generation: int,
-    executor: ThreadPoolExecutor | None = None,
-    impl=None,
 ) -> list[Individual]:
     """One synchronous DE generation: all trials are built against a snapshot
     of the current population, then selection runs slot by slot."""
     snapshot = tuple(population)
-
-    def build(i: int) -> Individual | None:
-        return _propose(snapshot, i, config, n, width, generation, impl)
-
-    if executor is None:
-        trials = [build(i) for i in range(len(snapshot))]
-    else:
-        trials = list(executor.map(build, range(len(snapshot))))
+    trials = [
+        _propose(snapshot, i, config, n, width, generation)
+        for i in range(len(snapshot))
+    ]
     return [
         parent if trial is None else select(parent, trial)
         for parent, trial in zip(snapshot, trials)
@@ -337,8 +323,6 @@ def optimize(
     config: DEConfig,
     curve: CurveParams,
     width: int | None = None,
-    workers: int = 1,
-    impl=None,
 ) -> OptResult:
     """Run the full search and return the best scalar found.
 
@@ -346,8 +330,7 @@ def optimize(
     [1, n-1] representable; overrides below that are rejected.  With
     ``early_stop`` the loop exits as soon as some individual reaches the
     maximal entropy achievable at this width (perfect balance for even
-    widths).  ``workers`` only distributes the trial evaluations; results
-    are identical for any worker count.
+    widths).
     """
     n = curve.n
     w = width if width is not None else n.bit_length()
@@ -368,24 +351,13 @@ def optimize(
             ind.imbalance == target_imbalance for ind in population
         )
 
-    executor = None
-    try:
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            executor = ThreadPoolExecutor(max_workers=workers)
-        if not converged():
-            for t in range(1, config.max_generations + 1):
-                population = step_generation(
-                    population, config, n, w, t, executor, impl
-                )
-                generations_run = t
-                history.append(_stat(t, population))
-                if converged():
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    if not converged():
+        for t in range(1, config.max_generations + 1):
+            population = step_generation(population, config, n, w, t)
+            generations_run = t
+            history.append(_stat(t, population))
+            if converged():
+                break
 
     best = min(population, key=lambda ind: ind.imbalance)
     return OptResult(

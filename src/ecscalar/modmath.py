@@ -1,36 +1,19 @@
-"""Exact arithmetic in prime fields, on Python's arbitrary-precision integers.
+"""Hex codecs and a deterministic primality test for curve parameters.
 
-Everything here is pure and allocation-cheap; operands of any size work, but
-the intended range is field elements up to 256 bits (with intermediate
-products up to 512 bits before reduction).  No attempt is made at
-constant-time behaviour.
+Everything here is pure and works on Python's arbitrary-precision integers;
+the field arithmetic itself is inlined where it is used (ecscalar.curve).
+No attempt is made at constant-time behaviour.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 __all__ = [
-    "FieldElement",
-    "ModulusMismatchError",
-    "NonInvertibleError",
     "format_hex",
     "is_probable_prime",
-    "mod_add",
-    "mod_inv",
-    "mod_mul",
-    "mod_sub",
     "parse_hex",
 ]
-
-
-class ModulusMismatchError(ValueError):
-    """Raised when two field elements with different moduli are combined."""
-
-
-class NonInvertibleError(ArithmeticError):
-    """Raised when asked for the inverse of a non-unit (zero mod a prime)."""
 
 
 def parse_hex(text: str) -> int:
@@ -63,94 +46,6 @@ def format_hex(value: int, width: int | None = None) -> str:
     if width is not None:
         digits = digits.zfill((width + 3) // 4)
     return "0x" + digits
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of the prime field Z/pZ, kept in canonical form [0, p).
-
-    Arithmetic between elements requires identical moduli; division uses the
-    modular inverse and fails on zero.  Instances are immutable and safe to
-    share across threads.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, int):
-            return FieldElement(other, self.modulus)
-        if other.modulus != self.modulus:
-            raise ModulusMismatchError(
-                f"moduli differ: {self.modulus} vs {other.modulus}"
-            )
-        return other
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement((self.value - other.value) % self.modulus, self.modulus)
-
-    def __rsub__(self, other: int) -> "FieldElement":
-        return self._coerce(other) - self
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement((self.value * other.value) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        return self * self._coerce(other).inverse()
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm.
-
-        Delegates to ``pow(v, -1, m)`` (CPython computes this with extended
-        Euclid, not Fermat exponentiation, so no primality assumption is
-        made here).
-        """
-        try:
-            return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-        except ValueError:
-            raise NonInvertibleError(
-                f"{self.value} is not invertible mod {self.modulus}"
-            ) from None
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def mod_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """(a + b) mod p."""
-    return a + b
-
-
-def mod_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    """(a - b) mod p."""
-    return a - b
-
-
-def mod_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """(a * b) mod p, exact for operands of any size."""
-    return a * b
-
-
-def mod_inv(a: FieldElement) -> FieldElement:
-    """a^-1 mod p; raises NonInvertibleError for zero."""
-    return a.inverse()
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -5,8 +5,8 @@ P-256, with SEC 2 / FIPS 186-4 constants) and ``toy29``, a 37-point curve
 over F_29 that is small enough to enumerate exhaustively.
 
 Every entry — built-in or loaded from a file — passes full validation
-(non-singular, base point on curve, n*G = O, and a 64-round Miller-Rabin
-check on the field prime) before callers ever see it.
+(non-singular, base point on curve, n*G = O, 64-round Miller-Rabin checks
+on the field prime and on n, and n != p) before callers ever see it.
 
 Two widely circulated misprints of the NIST constants are tracked
 explicitly: entries ship the authoritative values, carry an erratum note,
@@ -141,11 +141,16 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
 
-def _validate_entry(entry: RegistryEntry, check_n_prime: bool) -> None:
+def _validate_entry(entry: RegistryEntry) -> None:
+    """Curve checks plus two on ``n``: it is prime, so with n*G = O it is
+    the exact order of G (and divides #E, which keeps it within the Hasse
+    bound), and it differs from p, so the curve is not anomalous."""
     params = entry.params
     problems = validate_curve(params).failures()
-    if check_n_prime and not is_probable_prime(params.n, PRIMALITY_ROUNDS):
+    if not is_probable_prime(params.n, PRIMALITY_ROUNDS):
         problems.append("base point order fails the primality test")
+    if params.n == params.p:
+        problems.append("n equals p (anomalous curve)")
     if problems:
         raise RegistryValidationError(
             f"curve {params.name!r} failed validation: " + "; ".join(problems)
@@ -165,7 +170,7 @@ def load_builtin(name: str) -> RegistryEntry:
         )
     if key not in _validated:
         entry = _BUILTINS[key]
-        _validate_entry(entry, check_n_prime=True)
+        _validate_entry(entry)
         _validated[key] = entry
     return _validated[key]
 
@@ -234,5 +239,5 @@ def load_file(path: str) -> RegistryEntry:
         n=numbers["n"],
     )
     entry = RegistryEntry(params, Provenance.USER_FILE)
-    _validate_entry(entry, check_n_prime=False)
+    _validate_entry(entry)
     return entry

@@ -44,7 +44,8 @@ class SplitMix64:
     """Counter-based 64-bit generator with a settable raw state.
 
     ``state`` holds only the Weyl counter, so a stream can be handed to the
-    compiled crossover kernel (which advances it in C) and resumed afterwards.
+    crossover kernel (which advances it ``width`` draws at once) and resumed
+    afterwards.
     """
 
     __slots__ = ("state",)

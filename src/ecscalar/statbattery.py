@@ -276,22 +276,6 @@ def autocorrelation(s: BitString, lag: int) -> TestReport:
     )
 
 
-def _run_lengths(s: BitString) -> list[int]:
-    lengths = []
-    current = 1
-    prev = s.bit(0)
-    for j in range(1, s.width):
-        b = s.bit(j)
-        if b == prev:
-            current += 1
-        else:
-            lengths.append(current)
-            current = 1
-            prev = b
-    lengths.append(current)
-    return lengths
-
-
 def rle_gamma_encode(s: BitString) -> BitString:
     """Run-length encode: 1 bit for the first run's value, then the
     Elias-gamma code of each run length, concatenated MSB first."""

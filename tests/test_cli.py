@@ -344,6 +344,27 @@ class TestConfigFile:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "field modulus fails the primality test" in err
 
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            ("p = 0x1d\na = 0x4\nb = 0x14\ngx = 0x0\ngy = 0x7\nn = 0x4a\n",
+             "base point order fails the primality test"),
+            ("p = 0x1d\na = 0x4\nb = 0x14\ngx = 0x0\ngy = 0x7\nn = 0x6f\n",
+             "base point order fails the primality test"),
+            ("p = 0xb\na = 0x1\nb = 0x5\ngx = 0x0\ngy = 0x4\nn = 0xb\n",
+             "n equals p (anomalous curve)"),
+        ],
+        ids=["n-2x37", "n-3x37", "anomalous"],
+    )
+    def test_bad_order_exits_3(self, capsys, tmp_path, curve, message):
+        curve_file = tmp_path / "bad.curve"
+        curve_file.write_text("name = bad\n" + curve)
+        code, out, err = _run(
+            capsys, "generate", "--curve", str(curve_file), "--seed", "1")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
@@ -405,8 +426,8 @@ class TestUsage:
 
 
 def test_import_leaves_unused_modules_unloaded():
-    # secrets serves only seedless runs and concurrent.futures only
-    # --workers > 1; neither belongs on every command's import path.
+    # secrets serves only seedless runs, and nothing uses threads; neither
+    # belongs on every command's import path.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (

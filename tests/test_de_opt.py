@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from ecscalar import _fallback
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.de_opt import (
     MAX_POPULATION_SIZE,
@@ -22,11 +21,6 @@ from ecscalar.de_opt import (
     step_generation,
 )
 from ecscalar.rng import SplitMix64, substream
-
-try:
-    from ecscalar import _speedups
-except ImportError:
-    _speedups = None
 
 
 def _pop(scalars, width=6):
@@ -202,15 +196,6 @@ class TestCrossover:
         with pytest.raises(ValueError):
             crossover(BitString(0, 8), BitString(0, 9), 0.5, SplitMix64(0))
 
-    @pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-    def test_backends_agree(self):
-        target = BitString(0x1234, 16)
-        mutant = BitString(0xABCD, 16)
-        for seed in range(50):
-            a = crossover(target, mutant, 0.9, SplitMix64(seed), impl=_fallback)
-            b = crossover(target, mutant, 0.9, SplitMix64(seed), impl=_speedups)
-            assert a == b
-
 
 class TestSelect:
     def test_strict_improvement_wins(self):
@@ -300,21 +285,6 @@ class TestOptimize:
         result = optimize(config, p192)
         assert result.generations_run < config.max_generations
         assert result.k_opt.bit_count() == 96
-
-    def test_deterministic_across_worker_counts(self, p256):
-        config = DEConfig(seed=31337)
-        serial = optimize(config, p256, workers=1)
-        threaded = optimize(config, p256, workers=4)
-        assert serial == threaded
-
-    def test_worker_counts_agree_through_generations(self, p256):
-        # Seed 31337 converges at generation 0 under early stop, so the
-        # check above never reaches the thread pool; this one runs it.
-        config = DEConfig(seed=31337, early_stop=False, max_generations=5)
-        serial = optimize(config, p256, workers=1)
-        threaded = optimize(config, p256, workers=4)
-        assert serial.generations_run == 5
-        assert serial == threaded
 
     def test_width_override_too_small_rejected(self, p192):
         with pytest.raises(ValueError):

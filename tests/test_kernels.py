@@ -1,4 +1,4 @@
-"""Crossover kernel: backend equivalence and the mask contract."""
+"""Crossover kernel: the mask contract against a per-bit oracle."""
 
 import random
 
@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecscalar import _fallback, kernels
+from ecscalar import kernels
 from ecscalar.rng import GOLDEN_GAMMA, MASK64, SplitMix64, bernoulli_threshold
-
-try:
-    from ecscalar import _speedups
-except ImportError:
-    _speedups = None
 
 
 def _reference_mask(state, width, threshold, j_rand):
@@ -27,17 +22,8 @@ def _reference_mask(state, width, threshold, j_rand):
     return mask, stream.state
 
 
-@pytest.fixture(params=["python", "compiled"])
-def backend(request):
-    if request.param == "compiled":
-        if _speedups is None:
-            pytest.skip("compiled kernel not built")
-        return _speedups
-    return _fallback
-
-
 class TestContract:
-    def test_matches_reference_construction(self, backend):
+    def test_matches_reference_construction(self):
         rng = random.Random(1234)
         for _ in range(150):
             state = rng.getrandbits(64)
@@ -46,36 +32,34 @@ class TestContract:
                 [0, 1, 1 << 63, (1 << 64) - 1, 1 << 64, rng.getrandbits(64)]
             )
             j_rand = rng.randrange(width)
-            got = kernels.crossover_fill(state, width, threshold, j_rand, impl=backend)
+            got = kernels.crossover_fill(state, width, threshold, j_rand)
             assert got == _reference_mask(state, width, threshold, j_rand)
 
-    def test_rate_one_takes_everything(self, backend):
-        mask, _ = kernels.crossover_fill(
-            7, 64, bernoulli_threshold(1.0), 3, impl=backend
-        )
+    def test_rate_one_takes_everything(self):
+        mask, _ = kernels.crossover_fill(7, 64, bernoulli_threshold(1.0), 3)
         assert mask == (1 << 64) - 1
 
-    def test_rate_zero_takes_only_jrand(self, backend):
+    def test_rate_zero_takes_only_jrand(self):
         for j_rand in (0, 17, 63):
             mask, _ = kernels.crossover_fill(
-                7, 64, bernoulli_threshold(0.0), j_rand, impl=backend
+                7, 64, bernoulli_threshold(0.0), j_rand
             )
             assert mask == 1 << (63 - j_rand)
 
-    def test_consumes_exactly_width_draws(self, backend):
+    def test_consumes_exactly_width_draws(self):
         state = 42
-        _, new_state = kernels.crossover_fill(state, 100, 1 << 63, 0, impl=backend)
+        _, new_state = kernels.crossover_fill(state, 100, 1 << 63, 0)
         stream = SplitMix64(0)
         stream.state = state
         for _ in range(100):
             stream.next_u64()
         assert new_state == stream.state
 
-    def test_golden_vector(self, backend):
+    def test_golden_vector(self):
         # Frozen once from the documented construction; guards the draw
         # order and bit layout against accidental change.
         mask, new_state = kernels.crossover_fill(
-            0x0123456789ABCDEF, 32, bernoulli_threshold(0.9), 5, impl=backend
+            0x0123456789ABCDEF, 32, bernoulli_threshold(0.9), 5
         )
         ref_mask, ref_state = _reference_mask(
             0x0123456789ABCDEF, 32, bernoulli_threshold(0.9), 5
@@ -87,6 +71,8 @@ class TestContract:
     def test_validation(self):
         with pytest.raises(ValueError):
             kernels.crossover_fill(0, 8, 0, 8)
+        with pytest.raises(ValueError):
+            kernels.crossover_fill(0, 8, 1 << 63, -1)
         with pytest.raises(ValueError):
             kernels.crossover_fill(0, 8, (1 << 64) + 1, 0)
 
@@ -100,8 +86,8 @@ EDGE_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193,
 
 
 def _clear_lane_caches():
-    _fallback._lanes.cache_clear()
-    _fallback._bound.cache_clear()
+    kernels._lanes.cache_clear()
+    kernels._bound.cache_clear()
 
 
 class TestWordParallelKernel:
@@ -118,8 +104,7 @@ class TestWordParallelKernel:
     )
     def test_matches_reference_property(self, width, state, threshold, data):
         j_rand = data.draw(st.integers(0, width - 1))
-        got = kernels.crossover_fill(state, width, threshold, j_rand,
-                                     impl=_fallback)
+        got = kernels.crossover_fill(state, width, threshold, j_rand)
         assert got == _reference_mask(state, width, threshold, j_rand)
 
     @pytest.mark.parametrize("width", EDGE_WIDTHS)
@@ -128,7 +113,7 @@ class TestWordParallelKernel:
             for threshold in EDGE_THRESHOLDS:
                 for j_rand in {0, width // 2, width - 1}:
                     got = kernels.crossover_fill(
-                        state, width, threshold, j_rand, impl=_fallback
+                        state, width, threshold, j_rand
                     )
                     assert got == _reference_mask(
                         state, width, threshold, j_rand
@@ -141,8 +126,7 @@ class TestWordParallelKernel:
         for order in (widths, widths[::-1], widths):
             _clear_lane_caches()
             results.append({
-                w: kernels.crossover_fill(0xDEADBEEF, w, threshold, 0,
-                                          impl=_fallback)
+                w: kernels.crossover_fill(0xDEADBEEF, w, threshold, 0)
                 for w in order
             })
         assert results[0] == results[1] == results[2]
@@ -150,23 +134,5 @@ class TestWordParallelKernel:
             assert got == _reference_mask(0xDEADBEEF, w, threshold, 0)
 
     def test_lane_caches_are_bounded(self):
-        assert _fallback._lanes.cache_info().maxsize is not None
-        assert _fallback._bound.cache_info().maxsize is not None
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-class TestBackendAgreement:
-    def test_identical_across_backends(self):
-        rng = random.Random(99)
-        for _ in range(300):
-            state = rng.getrandbits(64)
-            width = rng.randint(1, 513)
-            threshold = rng.choice([0, 1 << 64, rng.getrandbits(64)])
-            j_rand = rng.randrange(width)
-            a = kernels.crossover_fill(
-                state, width, threshold, j_rand, impl=_fallback
-            )
-            b = kernels.crossover_fill(
-                state, width, threshold, j_rand, impl=_speedups
-            )
-            assert a == b
+        assert kernels._lanes.cache_info().maxsize is not None
+        assert kernels._bound.cache_info().maxsize is not None

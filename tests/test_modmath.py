@@ -1,28 +1,9 @@
-"""Prime-field arithmetic against schoolbook and extended-Euclid oracles."""
+"""Hex codecs and the primality test."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ecscalar.modmath import (
-    FieldElement,
-    ModulusMismatchError,
-    NonInvertibleError,
-    format_hex,
-    is_probable_prime,
-    mod_add,
-    mod_inv,
-    mod_mul,
-    mod_sub,
-    parse_hex,
-)
+from ecscalar.modmath import format_hex, is_probable_prime, parse_hex
 from reference_data import P224_GX_AS_PRINTED
-
-P = 29
-
-
-def fe(value, modulus=P):
-    return FieldElement(value, modulus)
 
 
 class TestHexCodec:
@@ -51,103 +32,6 @@ class TestHexCodec:
     def test_roundtrip(self):
         value = 0x9C6786C6212DB513501DD99840E73BB1A2168C652541EB1B
         assert parse_hex(format_hex(value, width=192)) == value
-
-
-class TestFieldElement:
-    def test_canonicalized_on_construction(self):
-        assert fe(35).value == 6
-        assert fe(-1).value == 28
-
-    def test_add_wraps(self):
-        assert mod_add(fe(28), fe(3)).value == 2
-        assert mod_add(fe(0), fe(0)).value == 0
-
-    def test_sub_wraps(self):
-        assert mod_sub(fe(3), fe(5)).value == 27
-
-    def test_mul(self):
-        assert mod_mul(fe(21), fe(21)).value == 6
-        a = fe(17)
-        assert mod_mul(a, fe(1)) == a
-
-    def test_mul_reduction_matches_long_division_oracle(self):
-        # 4*4^3 + 27*20^2 = 11056; reduce by repeated subtraction.
-        big = 4 * 4**3 + 27 * 20**2
-        assert big == 11056
-        remainder = big
-        while remainder >= P:
-            remainder -= P
-        assert remainder == 7
-        assert fe(big).value == remainder == 7
-
-    def test_inverse_small_cases(self):
-        assert mod_inv(fe(2)).value == 15
-        assert mod_inv(fe(14)).value == 27
-        assert (14 * 27) % P == 1
-        assert mod_inv(fe(1)).value == 1
-
-    def test_inverse_of_zero_raises(self):
-        with pytest.raises(NonInvertibleError):
-            mod_inv(fe(0))
-
-    def test_inverse_matches_extended_euclid_oracle(self):
-        def xgcd(a, b):
-            old_r, r = a, b
-            old_s, s = 1, 0
-            while r:
-                q = old_r // r
-                old_r, r = r, old_r - q * r
-                old_s, s = s, old_s - q * s
-            return old_r, old_s
-
-        p = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
-        for value in (2, 3, 0xDEADBEEF, p - 1, p // 3):
-            g, x = xgcd(value % p, p)
-            assert g == 1
-            assert mod_inv(FieldElement(value, p)).value == x % p
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatchError):
-            mod_add(fe(1, 29), fe(1, 31))
-
-    def test_division_uses_inverse(self):
-        assert (fe(4) / fe(14)).value == (4 * 27) % P
-
-
-class TestAgainstSchoolbookOracle:
-    def test_all_pairs_mod_29(self):
-        for a in range(P):
-            for b in range(P):
-                assert mod_add(fe(a), fe(b)).value == (a + b) % P
-                assert mod_sub(fe(a), fe(b)).value == (a - b) % P
-                assert mod_mul(fe(a), fe(b)).value == (a * b) % P
-                if b:
-                    inv = mod_inv(fe(b)).value
-                    assert (b * inv) % P == 1
-
-
-_P256 = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
-_u256 = st.integers(min_value=0, max_value=(1 << 256) - 1)
-
-
-class TestRingLaws:
-    @given(_u256, _u256, _u256)
-    @settings(max_examples=60, deadline=None)
-    def test_laws_on_256_bit_triples(self, a, b, c):
-        fa, fb, fc = (FieldElement(v, _P256) for v in (a, b, c))
-        assert fa + fb == fb + fa
-        assert fa * fb == fb * fa
-        assert (fa + fb) + fc == fa + (fb + fc)
-        assert (fa * fb) * fc == fa * (fb * fc)
-        assert fa * (fb + fc) == fa * fb + fa * fc
-
-    @given(_u256)
-    @settings(max_examples=60, deadline=None)
-    def test_inverse_cancels(self, a):
-        element = FieldElement(a, _P256)
-        if element.value == 0:
-            return
-        assert (element * element.inverse()).value == 1
 
 
 class TestPrimality:

@@ -180,6 +180,27 @@ class TestCurveFiles:
             "field modulus fails the primality test"
         )
 
+    @pytest.mark.parametrize("n", ["0x4a", "0x6f"])
+    def test_composite_order_rejected(self, tmp_path, n):
+        # 74 = 2*37 and 111 = 3*37 both annihilate G (order 37), so only
+        # the primality test on n rejects them.
+        with pytest.raises(RegistryValidationError) as info:
+            load_file(_toy_file(tmp_path, n=n))
+        assert str(info.value).endswith(
+            "failed validation: base point order fails the primality test"
+        )
+
+    def test_anomalous_curve_rejected(self, tmp_path):
+        # y^2 = x^3 + x + 5 over F_11 has exactly 11 points: #E = p = n.
+        path = _toy_file(
+            tmp_path, p="0xb", a="0x1", b="0x5", gx="0x0", gy="0x4", n="0xb"
+        )
+        with pytest.raises(RegistryValidationError) as info:
+            load_file(path)
+        assert str(info.value).endswith(
+            "failed validation: n equals p (anomalous curve)"
+        )
+
     def test_nonexistent_path(self):
         with pytest.raises(CurveFileError, match="cannot read"):
             load_file("/nonexistent/nope.curve")

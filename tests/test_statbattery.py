@@ -11,7 +11,6 @@ from ecscalar.bitcodec import BitString, to_bits
 from ecscalar.statbattery import (
     ALPHA,
     DEFAULT_LAGS,
-    _run_lengths,
     autocorrelation,
     chi2_sf,
     chi_square_bits,
@@ -36,6 +35,22 @@ def _alternating(width):
 
 def _random_bits(width, seed):
     return BitString(random.Random(seed).getrandbits(width) % (1 << width), width)
+
+
+def _complement(s):
+    return BitString(s.value ^ ((1 << s.width) - 1), s.width)
+
+
+def _run_lengths(s):
+    """Per-bit reference: the length of every maximal run of equal bits."""
+    text = str(s)
+    lengths = [1]
+    for prev, bit in zip(text, text[1:]):
+        if bit == prev:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
 
 
 def _reference_autocorrelation(s, lag):
@@ -71,6 +86,23 @@ def _reference_rle_gamma_encode(s):
     for b in out:
         value = (value << 1) | b
     return BitString(value, len(out))
+
+
+def _oracle_strings(seed):
+    """The edge widths and 150 random widths in [16, 2000]: per width, one
+    uniform string and one with a uniform ones count, which reaches the
+    p-value tails and the runs prerequisite."""
+    rng = random.Random(seed)
+    widths = [16, 192, 224, 256] + [rng.randint(16, 2000) for _ in range(150)]
+    for width in widths:
+        yield BitString(rng.getrandbits(width), width)
+        set_bits = rng.sample(range(width), rng.randint(0, width))
+        yield BitString(sum(1 << j for j in set_bits), width)
+
+
+def _close_to_oracle(p, oracle):
+    # Double precision against 50 digits; below the float range both are 0.
+    return math.isclose(p, float(oracle), rel_tol=1e-11, abs_tol=1e-300)
 
 
 @st.composite
@@ -185,8 +217,18 @@ class TestMonobit:
         k = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
         s = to_bits(k, width)
         assert monobit_test(s).p_value == pytest.approx(
-            monobit_test(s.complement()).p_value, abs=1e-15
+            monobit_test(_complement(s)).p_value, abs=1e-15
         )
+
+    def test_p_value_against_high_precision_oracle(self):
+        # p = erfc(|S| / sqrt(2n)) with S = ones - zeros, at 50 digits.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for s in _oracle_strings(2025):
+            text = str(s)
+            diff = text.count("1") - text.count("0")
+            oracle = mpmath.erfc(abs(diff) / mpmath.sqrt(2 * s.width))
+            assert _close_to_oracle(monobit_test(s).p_value, oracle)
 
 
 class TestChiSquareBits:
@@ -252,6 +294,30 @@ class TestRuns:
                 bits[j] != bits[j + 1] for j in range(width - 1)
             )
             assert runs_test(s).statistic == oracle
+
+    def test_p_value_against_high_precision_oracle(self):
+        # NIST SP 800-22 section 2.3 at 50 digits.  The prerequisite
+        # |pi - 1/2| >= 2/sqrt(n) is decided exactly, as
+        # (2*ones - n)^2 >= 16n; when it holds the test reports p = 0.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for s in _oracle_strings(2026):
+            text = str(s)
+            n = s.width
+            ones = text.count("1")
+            report = runs_test(s)
+            if (2 * ones - n) ** 2 >= 16 * n:
+                assert report.auxiliary["prerequisite_met"] == 0.0
+                assert report.p_value == 0.0
+                continue
+            v_obs = 1 + sum(a != b for a, b in zip(text, text[1:]))
+            pi = mpmath.mpf(ones) / n
+            oracle = mpmath.erfc(
+                abs(v_obs - 2 * n * pi * (1 - pi))
+                / (2 * mpmath.sqrt(2 * n) * pi * (1 - pi))
+            )
+            assert report.auxiliary["prerequisite_met"] == 1.0
+            assert _close_to_oracle(report.p_value, oracle)
 
 
 class TestAutocorrelation:
@@ -319,7 +385,7 @@ class TestAutocorrelation:
             s = _random_bits(200, seed)
             for lag in (1, 2, 7, 50):
                 r = autocorrelation(s, lag).statistic
-                rc = autocorrelation(s.complement(), lag).statistic
+                rc = autocorrelation(_complement(s), lag).statistic
                 assert r == pytest.approx(rc, abs=1e-12)
                 assert abs(r) <= 1 + 1e-12
 
