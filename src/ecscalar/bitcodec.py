@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "BitString",
@@ -34,20 +33,6 @@ class BitString:
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b")
-
-    def __len__(self) -> int:
-        return self.width
-
-    def __iter__(self) -> Iterator[int]:
-        # MSB first
-        for j in range(self.width - 1, -1, -1):
-            yield (self.value >> j) & 1
-
-    def bit(self, position: int) -> int:
-        """Bit at MSB-first ``position`` (0 is the most significant)."""
-        if not 0 <= position < self.width:
-            raise IndexError(f"bit position {position} out of range")
-        return (self.value >> (self.width - 1 - position)) & 1
 
     @property
     def ones(self) -> int:

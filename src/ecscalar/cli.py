@@ -112,7 +112,6 @@ def _build_config(args: argparse.Namespace) -> tuple[DEConfig, str]:
             except ValueError as exc:
                 raise ValueError(f"{args.config}: key {key!r}: {exc}") from None
 
-    defaults = DEConfig()
     merged: dict[str, Any] = {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -120,8 +119,6 @@ def _build_config(args: argparse.Namespace) -> tuple[DEConfig, str]:
             merged[key] = flag
         elif key in file_values:
             merged[key] = file_values[key]
-        elif key != "seed":
-            merged[key] = getattr(defaults, key)
 
     if "seed" in merged:
         seed_source = "flag" if getattr(args, "seed", None) is not None else "config-file"

@@ -23,7 +23,6 @@ from ecscalar.modmath import is_probable_prime
 __all__ = [
     "ENUMERATION_LIMIT",
     "INFINITY",
-    "PRIMALITY_ROUNDS",
     "CurveParams",
     "CurveValidation",
     "FieldTooLargeError",
@@ -31,7 +30,6 @@ __all__ = [
     "enumerate_points",
     "hasse_check",
     "is_on_curve",
-    "negate",
     "point_add",
     "scalar_mul",
     "validate_curve",
@@ -39,9 +37,6 @@ __all__ = [
 
 # Exhaustive enumeration is O(p); the guard keeps it interactive.
 ENUMERATION_LIMIT = 1 << 20
-
-# Miller-Rabin rounds for the field prime (and, in the registry, for n).
-PRIMALITY_ROUNDS = 64
 
 
 class FieldTooLargeError(ValueError):
@@ -76,9 +71,8 @@ INFINITY = Point()
 class CurveParams:
     """Public parameters of one curve: y^2 = x^3 + ax + b over F_p.
 
-    ``g`` is the base point and ``n`` its order; ``curve_order`` is the total
-    point count #E(F_p) where known (equal to n for the built-in prime-order
-    curves, whose cofactor is 1).  Immutable; share freely across threads.
+    ``g`` is the base point and ``n`` its order.  Immutable; share freely
+    across threads.
     """
 
     name: str
@@ -87,7 +81,6 @@ class CurveParams:
     b: int
     g: Point
     n: int
-    curve_order: int | None = None
 
     def __post_init__(self) -> None:
         if self.p < 3:
@@ -104,13 +97,6 @@ def is_on_curve(point: Point, params: CurveParams) -> bool:
         return True
     p = params.p
     return (point.y * point.y - (point.x**3 + params.a * point.x + params.b)) % p == 0
-
-
-def negate(point: Point, params: CurveParams) -> Point:
-    """-P = (x, -y); the identity is its own negative."""
-    if point.is_infinity:
-        return INFINITY
-    return Point(point.x, -point.y % params.p)
 
 
 def point_add(p1: Point, p2: Point, params: CurveParams) -> Point:
@@ -268,8 +254,8 @@ class CurveValidation:
 
 
 def validate_curve(params: CurveParams) -> CurveValidation:
-    """Check non-singularity, base-point membership, n*G = O, and a
-    PRIMALITY_ROUNDS-round Miller-Rabin test on p.
+    """Check non-singularity, base-point membership, n*G = O, and the
+    primality test (ecscalar.modmath) on p.
 
     Each check is reported independently; nothing raises.  The n*G check is
     skipped (reported failed) when the generator is off-curve or p is
@@ -277,7 +263,7 @@ def validate_curve(params: CurveParams) -> CurveValidation:
     """
     residue = (4 * params.a**3 + 27 * params.b**2) % params.p
     on_curve = is_on_curve(params.g, params)
-    prime = is_probable_prime(params.p, PRIMALITY_ROUNDS)
+    prime = is_probable_prime(params.p)
     annihilates = False
     if prime and on_curve and not params.g.is_infinity:
         annihilates = scalar_mul(params.n, params.g, params).is_infinity

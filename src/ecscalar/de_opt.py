@@ -6,29 +6,30 @@ Classic rand/1/bin DE, specialized to the scalar range [1, n-1]:
   with the scaling done in exact rational arithmetic (m_r is a Fraction;
   the scaled difference is rounded to the nearest integer, ties away from
   zero) — doubles cannot represent 256-bit differences;
-* crossover acts on the fixed-width binary representations: each position
-  independently takes the mutant bit with probability c_r, and position
-  j_rand is always taken;
+* crossover acts on the width-bit representations of the same integers:
+  each position independently takes the mutant bit with probability c_r,
+  and position j_rand is always taken;
 * selection is greedy and strict: the trial replaces its parent only when
   its entropy is strictly higher.  Entropy comparisons are done on exact
   integer bit-counts (lower |ones - zeros| means higher entropy at fixed
   width), so selection never hinges on float rounding.
 
-A trial that decodes outside [1, n-1] simply loses selection; nothing is
+A trial outside [1, n-1] simply loses selection; nothing is
 re-randomized, so the population always stays valid.
 
 All randomness comes from per-(generation, index) substreams derived from
-the run seed, which makes results independent of evaluation order.
+the run seed, which makes results independent of evaluation order.  The
+search runs on plain ints; entropy is computed only where it is reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ecscalar import kernels
-from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
+from ecscalar.bitcodec import shannon_entropy, to_bits
 from ecscalar.curve import CurveParams
 from ecscalar.rng import SplitMix64, bernoulli_threshold, substream
 from ecscalar.statbattery import ordered_sum
@@ -134,17 +135,11 @@ class DEConfig:
         }
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One candidate scalar with its cached fitness."""
+class Individual(NamedTuple):
+    """One candidate scalar and the bit width it is scored at."""
 
     scalar: int
     width: int
-    fitness: float
-
-    @classmethod
-    def from_scalar(cls, scalar: int, width: int) -> "Individual":
-        return cls(scalar, width, shannon_entropy(to_bits(scalar, width)))
 
     @property
     def imbalance(self) -> int:
@@ -160,13 +155,13 @@ class GenerationStat(NamedTuple):
 
 @dataclass(frozen=True)
 class OptResult:
+    """Best scalar, its entropy, and the per-generation entropy history."""
+
     k_opt: int
     best_entropy: float
     history: tuple[GenerationStat, ...]
     generations_run: int
-    config: DEConfig
     width: int
-    population: tuple[int, ...] = field(repr=False, default=())
 
 
 def _draw_scalar(stream: SplitMix64, n: int) -> int:
@@ -195,7 +190,7 @@ def initialize(config: DEConfig, n: int, width: int | None = None) -> list[Indiv
     out = []
     for i in range(config.population_size):
         stream = substream(config.seed, _INIT_GENERATION, i)
-        out.append(Individual.from_scalar(_draw_scalar(stream, n), w))
+        out.append(Individual(_draw_scalar(stream, n), w))
     return out
 
 
@@ -240,27 +235,26 @@ def mutate(
 
 
 def crossover(
-    target: BitString,
-    mutant: BitString,
+    target: int,
+    mutant: int,
+    width: int,
     c_r: float,
     rng: SplitMix64,
-) -> BitString:
-    """Binomial crossover: per-position Bernoulli(c_r) choice of mutant bit,
-    with position j_rand forced from the mutant.
+) -> int:
+    """Binomial crossover of two width-bit scalars: per-position
+    Bernoulli(c_r) choice of the mutant bit, with MSB-first position j_rand
+    forced from the mutant.
 
-    Draws j_rand plus exactly ``width`` mask draws from ``rng``.
+    Both inputs must lie in [0, 2**width).  Draws j_rand plus exactly
+    ``width`` mask draws from ``rng``.
     """
-    if target.width != mutant.width:
-        raise ValueError(
-            f"width mismatch: target {target.width}, mutant {mutant.width}"
-        )
-    width = target.width
+    if (target | mutant) >> width:
+        raise ValueError(f"crossover inputs must lie in [0, 2**{width})")
     j_rand = rng.next_below(width)
     mask, rng.state = kernels.crossover_fill(
         rng.state, width, bernoulli_threshold(c_r), j_rand
     )
-    trial = (mutant.value & mask) | (target.value & ~mask)
-    return BitString(trial, width)
+    return (mutant & mask) | (target & ~mask)
 
 
 def select(parent: Individual, trial: Individual) -> Individual:
@@ -280,18 +274,13 @@ def _propose(
     width: int,
     generation: int,
 ) -> Individual | None:
-    """Trial for slot i, or None when it decodes outside [1, n-1]."""
+    """Trial for slot i, or None when it falls outside [1, n-1]."""
     stream = substream(config.seed, generation, i)
     v = mutate(scalars, i, config.mutation_factor, n, stream)
-    trial_bits = crossover(
-        to_bits(scalars[i].scalar, width),
-        to_bits(v, width),
-        config.crossover_rate,
-        stream,
-    )
-    if not 1 <= trial_bits.value <= n - 1:
+    trial = crossover(scalars[i].scalar, v, width, config.crossover_rate, stream)
+    if not 1 <= trial <= n - 1:
         return None
-    return Individual.from_scalar(trial_bits.value, width)
+    return Individual(trial, width)
 
 
 def step_generation(
@@ -314,8 +303,12 @@ def step_generation(
     ]
 
 
+def _entropy(ind: Individual) -> float:
+    return shannon_entropy(to_bits(ind.scalar, ind.width))
+
+
 def _stat(generation: int, population: Sequence[Individual]) -> GenerationStat:
-    fits = [ind.fitness for ind in population]
+    fits = [_entropy(ind) for ind in population]
     return GenerationStat(generation, max(fits), ordered_sum(fits) / len(fits))
 
 
@@ -362,10 +355,8 @@ def optimize(
     best = min(population, key=lambda ind: ind.imbalance)
     return OptResult(
         k_opt=best.scalar,
-        best_entropy=best.fitness,
+        best_entropy=_entropy(best),
         history=tuple(history),
         generations_run=generations_run,
-        config=config,
         width=w,
-        population=tuple(ind.scalar for ind in population),
     )

@@ -50,9 +50,12 @@ def format_hex(value: int, width: int | None = None) -> str:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Miller-Rabin rounds; the one place the primality policy is set.
+_ROUNDS = 64
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin primality test with ``rounds`` random witnesses.
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin primality test with 64 random witnesses.
 
     Witnesses are drawn from a generator seeded by ``n`` itself, so the
     verdict for a given input never changes between runs.
@@ -70,7 +73,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
         d //= 2
         s += 1
     rng = random.Random(n ^ 0x9E3779B97F4A7C15)
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -5,7 +5,7 @@ P-256, with SEC 2 / FIPS 186-4 constants) and ``toy29``, a 37-point curve
 over F_29 that is small enough to enumerate exhaustively.
 
 Every entry — built-in or loaded from a file — passes full validation
-(non-singular, base point on curve, n*G = O, 64-round Miller-Rabin checks
+(non-singular, base point on curve, n*G = O, the modmath primality test
 on the field prime and on n, and n != p) before callers ever see it.
 
 Two widely circulated misprints of the NIST constants are tracked
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from ecscalar.curve import PRIMALITY_ROUNDS, CurveParams, Point, validate_curve
+from ecscalar.curve import CurveParams, Point, validate_curve
 from ecscalar.modmath import is_probable_prime, parse_hex
 
 __all__ = [
@@ -81,8 +81,7 @@ _P256_ERRATUM = (
 
 
 def _nist(name: str, p: int, a: int, b: int, gx: int, gy: int, n: int) -> CurveParams:
-    # Cofactor is 1 for all three curves, so #E(F_p) equals n.
-    return CurveParams(name=name, p=p, a=a, b=b, g=Point(gx, gy), n=n, curve_order=n)
+    return CurveParams(name=name, p=p, a=a, b=b, g=Point(gx, gy), n=n)
 
 
 _BUILTINS: dict[str, RegistryEntry] = {
@@ -127,9 +126,7 @@ _BUILTINS: dict[str, RegistryEntry] = {
     # 37-point curve over F_29; the group order is prime, so every point
     # other than O generates the whole group and G = (0, 7) has order 37.
     "toy29": RegistryEntry(
-        CurveParams(
-            name="toy29", p=29, a=4, b=20, g=Point(0, 7), n=37, curve_order=37
-        ),
+        CurveParams(name="toy29", p=29, a=4, b=20, g=Point(0, 7), n=37),
         Provenance.BUILTIN,
     ),
 }
@@ -147,7 +144,7 @@ def _validate_entry(entry: RegistryEntry) -> None:
     bound), and it differs from p, so the curve is not anomalous."""
     params = entry.params
     problems = validate_curve(params).failures()
-    if not is_probable_prime(params.n, PRIMALITY_ROUNDS):
+    if not is_probable_prime(params.n):
         problems.append("base point order fails the primality test")
     if params.n == params.p:
         problems.append("n equals p (anomalous curve)")

@@ -400,7 +400,7 @@ def test_c09_battery_calibration():
     for i in range(1000):
         value = substream(97, 0, i).next_bits(256)
         s = BitString(value, 256)
-        bits = list(s)
+        bits = [int(c) for c in str(s)]
 
         monobit_passes += monobit_test(s).passed
         runs_report = runs_test(s)

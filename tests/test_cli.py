@@ -1,5 +1,6 @@
 """Command-line front end: commands, exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,31 @@ class TestDeterminism:
         assert base["generations_run"] == 5
         assert json.dumps(base, sort_keys=True) == json.dumps(
             threaded, sort_keys=True)
+
+
+class TestGoldenPins:
+    """Multi-generation outputs pinned by digest: any change to the DE, the
+    rng, the battery or the report writers shows up here."""
+
+    def test_p256_full_budget_report(self, capsys):
+        doc = _run_json(
+            capsys, "generate", "--curve", "p256", "--seed", "2024",
+            "--no-early-stop", "--max-generations", "30")
+        assert doc["k_opt"] == (
+            "0x62d7f17bc70021aa3dcb090f65f96319a6e6c6d6573f08e63a0711d6c86154ed")
+        assert doc["generations_run"] == 30
+        doc["manifest"].pop("timestamp")
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "1b568ee9b8018f26fabbc52cc84f53971a38dfa342f7df482ba84854f5a143ad")
+
+    def test_p192_benchmark_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "bench.csv"
+        _run_json(
+            capsys, "benchmark", "--curve", "p192", "--trials", "6",
+            "--seed", "4", "--out", str(csv_path))
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "ecf118e05699a86f9ed3de73e6de1c7aa2e70df725fae4fed5dc280761e6349b")
 
 
 class TestAudit:

@@ -13,7 +13,6 @@ from ecscalar.curve import (
     enumerate_points,
     hasse_check,
     is_on_curve,
-    negate,
     point_add,
     scalar_mul,
     validate_curve,
@@ -34,18 +33,6 @@ class TestOnCurve:
     def test_off_curve_point(self, toy29):
         # 1 != 1 + 4 + 20 (mod 29)
         assert not is_on_curve(Point(1, 1), toy29)
-
-
-class TestNegate:
-    def test_affine(self, toy29):
-        assert negate(G, toy29) == Point(0, 22)
-
-    def test_infinity(self, toy29):
-        assert negate(INFINITY, toy29) == INFINITY
-
-    def test_involution(self, toy29):
-        for x, y in TOY29_AFFINE_TABLE:
-            assert negate(negate(Point(x, y), toy29), toy29) == Point(x, y)
 
 
 class TestPointAdd:
@@ -149,7 +136,7 @@ class TestScalarMulAgainstAffineOracle:
         params = load_builtin(name).params
         g, n = params.g, params.n
         expected = {
-            n - 1: negate(g, params),
+            n - 1: Point(g.x, params.p - g.y),
             n: INFINITY,
             n + 1: g,
             2 * n: INFINITY,

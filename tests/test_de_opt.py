@@ -21,10 +21,16 @@ from ecscalar.de_opt import (
     step_generation,
 )
 from ecscalar.rng import SplitMix64, substream
+from ecscalar.statbattery import ordered_sum
 
 
 def _pop(scalars, width=6):
-    return [Individual.from_scalar(k, width) for k in scalars]
+    return [Individual(k, width) for k in scalars]
+
+
+def _bit(value, width, j):
+    """Bit at MSB-first position j of a width-bit value."""
+    return (value >> (width - 1 - j)) & 1
 
 
 class TestConfig:
@@ -87,9 +93,14 @@ class TestInitialize:
         b = initialize(DEConfig(seed=5), n=37)
         assert [i.scalar for i in a] == [i.scalar for i in b]
 
-    def test_fitness_cached_correctly(self):
-        for ind in initialize(DEConfig(seed=9), n=37):
-            assert ind.fitness == shannon_entropy(to_bits(ind.scalar, 6))
+    def test_generation_zero_stats_score_the_initial_population(self, p192):
+        config = DEConfig(seed=9, max_generations=1)
+        fits = [shannon_entropy(to_bits(ind.scalar, ind.width))
+                for ind in initialize(config, p192.n)]
+        stat = optimize(config, p192).history[0]
+        assert stat.generation == 0
+        assert stat.best_entropy == max(fits)
+        assert stat.mean_entropy == ordered_sum(fits) / len(fits)
 
     def test_tiny_n_rejected(self):
         with pytest.raises(ValueError):
@@ -152,65 +163,64 @@ def _forced_indices_stream(pop_size, i, want):
 
 class TestCrossover:
     def test_rate_one_copies_mutant(self):
-        target = BitString(0b00000000, 8)
-        mutant = BitString(0b10110101, 8)
-        trial = crossover(target, mutant, 1.0, SplitMix64(3))
-        assert trial == mutant
+        trial = crossover(0b00000000, 0b10110101, 8, 1.0, SplitMix64(3))
+        assert trial == 0b10110101
 
     def test_rate_zero_forces_only_jrand(self):
-        target = BitString(0b00000000, 8)
-        mutant = BitString(0b11111111, 8)
         for seed in range(20):
             stream = SplitMix64(seed)
             probe = SplitMix64(seed)
             j_rand = probe.next_below(8)
-            trial = crossover(target, mutant, 0.0, stream)
-            assert trial.value == 1 << (7 - j_rand)
+            trial = crossover(0b00000000, 0b11111111, 8, 0.0, stream)
+            assert trial == 1 << (7 - j_rand)
 
     def test_reproducible_golden(self):
-        target = BitString(0b00000000, 8)
-        mutant = BitString(0b11111111, 8)
-        values = {crossover(target, mutant, 0.5, SplitMix64(77)).value
+        values = {crossover(0b00000000, 0b11111111, 8, 0.5, SplitMix64(77))
                   for _ in range(5)}
         assert len(values) == 1  # same seed, same trial, every time
 
     def test_inheritance_per_position(self):
-        target = BitString(0b1010101010101010, 16)
-        mutant = BitString(0b0110011001100110, 16)
+        target = 0b1010101010101010
+        mutant = 0b0110011001100110
         for seed in range(50):
             stream = SplitMix64(seed)
-            trial = crossover(target, mutant, 0.7, stream)
+            trial = crossover(target, mutant, 16, 0.7, stream)
             for j in range(16):
-                assert trial.bit(j) in (target.bit(j), mutant.bit(j))
+                assert _bit(trial, 16, j) in (
+                    _bit(target, 16, j), _bit(mutant, 16, j))
 
     def test_jrand_position_always_takes_the_mutant_bit(self):
-        target = BitString(0x0000, 16)
-        mutant = BitString(0xFFFF, 16)
         for seed in range(60):
             probe = SplitMix64(seed)
             j_rand = probe.next_below(16)
-            trial = crossover(target, mutant, 0.3, SplitMix64(seed))
-            assert trial.bit(j_rand) == mutant.bit(j_rand) == 1
+            trial = crossover(0x0000, 0xFFFF, 16, 0.3, SplitMix64(seed))
+            assert _bit(trial, 16, j_rand) == 1
 
-    def test_width_mismatch(self):
+    @pytest.mark.parametrize(
+        "target, mutant",
+        [(1 << 8, 0), (0, 1 << 8), (-1, 0), (0, -1)],
+    )
+    def test_out_of_range_input_rejected(self, target, mutant):
+        stream = SplitMix64(0)
         with pytest.raises(ValueError):
-            crossover(BitString(0, 8), BitString(0, 9), 0.5, SplitMix64(0))
+            crossover(target, mutant, 8, 0.5, stream)
+        assert stream.state == SplitMix64(0).state  # rejected before drawing
 
 
 class TestSelect:
     def test_strict_improvement_wins(self):
-        parent = Individual.from_scalar(0b111100, 6)  # imbalance 2
-        trial = Individual.from_scalar(0b111000, 6)  # imbalance 0
+        parent = Individual(0b111100, 6)  # imbalance 2
+        trial = Individual(0b111000, 6)  # imbalance 0
         assert select(parent, trial) is trial
 
     def test_tie_keeps_parent(self):
-        parent = Individual.from_scalar(0b111000, 6)
-        trial = Individual.from_scalar(0b000111, 6)
+        parent = Individual(0b111000, 6)
+        trial = Individual(0b000111, 6)
         assert select(parent, trial) is parent
 
     def test_worse_trial_loses(self):
-        parent = Individual.from_scalar(0b111000, 6)
-        trial = Individual.from_scalar(0b111110, 6)
+        parent = Individual(0b111000, 6)
+        trial = Individual(0b111110, 6)
         assert select(parent, trial) is parent
 
     def test_integer_comparison_equals_float_comparison_exhaustively(self):
@@ -291,9 +301,13 @@ class TestOptimize:
             optimize(DEConfig(seed=1), p192, width=191)
 
     def test_final_population_valid(self, p192):
-        result = optimize(DEConfig(seed=77, early_stop=False,
-                                   max_generations=5), p192)
-        assert all(1 <= k <= p192.n - 1 for k in result.population)
+        config = DEConfig(seed=77, early_stop=False, max_generations=5)
+        pop = initialize(config, p192.n)
+        for t in range(1, 6):
+            pop = step_generation(pop, config, p192.n, 192, t)
+        assert len(pop) == config.population_size
+        assert all(1 <= ind.scalar <= p192.n - 1 for ind in pop)
+        assert all(ind.width == 192 for ind in pop)
 
 
 class TestRandomScalar:
