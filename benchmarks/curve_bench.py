@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time scalar multiplication and curve validation against an affine reference.
+"""Time scalar multiplication, curve validation and the primality test.
 
 Prints microseconds per call of ``scalar_mul`` (a random scalar, and k = n)
 and of ``validate_curve`` on P-192, P-224 and P-256.  Every timed result is
 compared with a stand-alone affine double-and-add that inverts at every
 step, written here from the slope formulas and sharing no code with
-``ecscalar.curve``.  Any difference is a bug, and the script exits non-zero.
+``ecscalar.curve``.  It then prints microseconds per ``is_probable_prime``
+call on each curve's ``p`` and ``n``, and compares each verdict with a
+stand-alone 64-round Miller-Rabin test written here.  Any difference is a
+bug, and the script exits non-zero.
 
 Run from the repository root:
 
@@ -16,10 +19,36 @@ import random
 import time
 
 from ecscalar.curve import scalar_mul, validate_curve
+from ecscalar.modmath import is_probable_prime
 from ecscalar.registry import load_builtin
 
 CURVES = ("p192", "p224", "p256")
 RANDOM_SCALARS = 20
+PRIMALITY_CALLS = 20
+
+
+def reference_is_prime(n, rounds=64):
+    """Miller-Rabin with ``rounds`` bases from a fixed-seed generator."""
+    if n < 4:
+        return n in (2, 3)
+    if n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    rng = random.Random(n)
+    for _ in range(rounds):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def reference_scalar_mul(k, x, y, a, p):
@@ -81,12 +110,23 @@ def main():
             mismatches.append(f"{name}: reference n*G is not the identity")
         if not all(v.ok for v in verdicts):
             mismatches.append(f"{name}: validate_curve")
+    print(f"\n{'curve':>6}  {'prime p':>10}  {'prime n':>10}   (us per call)")
+    for name in CURVES:
+        params = load_builtin(name).params
+        row = []
+        for label, value in (("p", params.p), ("n", params.n)):
+            us, verdicts = per_call_us(
+                is_probable_prime, [(value,)] * PRIMALITY_CALLS)
+            row.append(us)
+            if any(v != reference_is_prime(value) for v in verdicts):
+                mismatches.append(f"{name}: is_probable_prime({label})")
+        print(f"{name:>6}  {row[0]:10.0f}  {row[1]:10.0f}")
     if mismatches:
         raise SystemExit(
-            "differ from the affine reference — this is a bug:\n  "
+            "differ from the stand-alone references — this is a bug:\n  "
             + "\n  ".join(mismatches)
         )
-    print("\nall results equal the affine reference")
+    print("\nall results equal the stand-alone references")
 
 
 if __name__ == "__main__":

@@ -308,7 +308,16 @@ def _entropy(ind: Individual) -> float:
 
 
 def _stat(generation: int, population: Sequence[Individual]) -> GenerationStat:
-    fits = [_entropy(ind) for ind in population]
+    # At one width the entropy depends only on the ones count, so compute
+    # it once per distinct count; the floats are the very same ones.
+    by_ones: dict[int, float] = {}
+    fits = []
+    for ind in population:
+        ones = ind.scalar.bit_count()
+        fit = by_ones.get(ones)
+        if fit is None:
+            fit = by_ones[ones] = _entropy(ind)
+        fits.append(fit)
     return GenerationStat(generation, max(fits), ordered_sum(fits) / len(fits))
 
 

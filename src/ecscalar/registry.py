@@ -7,6 +7,7 @@ over F_29 that is small enough to enumerate exhaustively.
 Every entry — built-in or loaded from a file — passes full validation
 (non-singular, base point on curve, n*G = O, the modmath primality test
 on the field prime and on n, and n != p) before callers ever see it.
+Curve files must also give a, b, gx and gy below p.
 
 Two widely circulated misprints of the NIST constants are tracked
 explicitly: entries ship the authoritative values, carry an erratum note,
@@ -207,8 +208,9 @@ _CURVE_KEYS = ("name", "p", "a", "b", "gx", "gy", "n")
 
 def load_file(path: str) -> RegistryEntry:
     """Load and validate a user curve file (keys: name, p, a, b, gx, gy, n;
-    all but ``name`` in hex).  Parse errors carry file/line/key context;
-    validation failures list every check that failed."""
+    all but ``name`` in hex).  Parse errors carry file/line/key context.
+    Values of a, b, gx or gy not below p fail before the curve checks run;
+    otherwise validation failures list every check that failed."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -235,6 +237,17 @@ def load_file(path: str) -> RegistryEntry:
         g=Point(numbers["gx"], numbers["gy"]),
         n=numbers["n"],
     )
+    # SEC 1 v2 section 3.1.1.2.1: a, b, gx and gy lie in [0, p-1].  Checked
+    # on the file's own values, since CurveParams reduces a and b mod p.
+    too_large = [
+        f"{key} = {numbers[key]:#x} is not below p"
+        for key in ("a", "b", "gx", "gy")
+        if numbers[key] >= params.p
+    ]
+    if too_large:
+        raise RegistryValidationError(
+            f"curve {params.name!r} failed validation: " + "; ".join(too_large)
+        )
     entry = RegistryEntry(params, Provenance.USER_FILE)
     _validate_entry(entry)
     return entry

@@ -1,13 +1,17 @@
 """Command-line front end: commands, exit codes, schemas, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
@@ -31,6 +35,41 @@ def _validator(name):
     registry = Registry().with_resources(store)
     schema = json.loads((SCHEMA_DIR / name).read_text())
     return Draft7Validator(schema, registry=registry)
+
+
+_TOY29_PAIRS = {
+    "name": "toy29", "p": "0x1d", "a": "0x4", "b": "0x14",
+    "gx": "0x0", "gy": "0x7", "n": "0x25",
+}
+_FUZZ_VALUES = st.one_of(
+    st.integers(0, 0x40).map(hex),
+    st.integers(0, 0x40).map(lambda v: format(v, "X")),
+    st.text("0123456789abcdefxg# \t=", max_size=6),
+)
+
+
+@st.composite
+def _curve_texts(draw):
+    """Curve-file text: toy29 with a few keys changed or dropped, or
+    arbitrary key/value lines, with small hex values either way."""
+    if draw(st.integers(0, 3)):
+        pairs = dict(_TOY29_PAIRS)
+        for key in draw(
+            st.lists(st.sampled_from(sorted(pairs)), max_size=3, unique=True)
+        ):
+            if draw(st.integers(0, 3)):
+                pairs[key] = draw(_FUZZ_VALUES)
+            else:
+                del pairs[key]
+        lines = [f"{k} = {v}" for k, v in pairs.items()]
+    else:
+        keys = st.sampled_from(sorted(_TOY29_PAIRS) + ["q", "G", "1x"])
+        line = st.one_of(
+            st.tuples(keys, _FUZZ_VALUES).map(" = ".join),
+            st.text(max_size=12),
+        )
+        lines = draw(st.lists(line, max_size=9))
+    return "\n".join(lines) + "\n"
 
 
 def _run(capsys, *argv):
@@ -390,6 +429,47 @@ class TestConfigFile:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert message in err
+
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("a", "0x21"), ("b", "0x31"), ("gx", "0x1d"), ("gy", "0x24")],
+    )
+    def test_value_not_below_p_exits_3(
+        self, capsys, tmp_path, command, key, value
+    ):
+        # Each value is congruent mod 29 to the valid toy29 one, so only the
+        # SEC 1 range check can reject the file.
+        pairs = dict(_TOY29_PAIRS, **{key: value})
+        curve_file = tmp_path / "wide.curve"
+        curve_file.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        argv = [command, "--curve", str(curve_file), "--seed", "1"]
+        if command == "benchmark":
+            argv += ["--trials", "1", "--out", str(tmp_path / "b.csv")]
+        code, out, err = _run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{key} = {value} is not below p" in err
+        assert not (tmp_path / "b.csv").exists()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=_curve_texts())
+    def test_fuzzed_curve_file_never_crashes(self, tmp_path, text):
+        curve_file = tmp_path / "fuzz.curve"
+        curve_file.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["generate", "--curve", str(curve_file), "--seed", "1"])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert err.getvalue() == "" and json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
 
 class TestUsage:
