@@ -9,7 +9,8 @@ of the 0/1 proportions is the fitness function the optimizer maximizes; it is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ecscalar._frozen import Frozen
 
 __all__ = [
     "BitString",
@@ -18,18 +19,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BitString:
-    value: int
-    width: int
+class BitString(Frozen):
+    __slots__ = ("value", "width")
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise OverflowError(
-                f"value {self.value} does not fit in {self.width} bits"
-            )
+    def __init__(self, value: int, width: int) -> None:
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        if not 0 <= value < (1 << width):
+            raise OverflowError(f"value {value} does not fit in {width} bits")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "width", width)
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Any
 
 from ecscalar import report as rpt
@@ -45,14 +44,8 @@ from ecscalar.registry import (
 from ecscalar.rng import substream, substream_seed
 from ecscalar.statbattery import DEFAULT_LAGS, ordered_sum, run_battery
 
-_CONFIG_KEYS = (
-    "population_size",
-    "mutation_factor",
-    "crossover_rate",
-    "max_generations",
-    "seed",
-    "early_stop",
-)
+# Config-file keys and their flags are DEConfig's fields.
+_CONFIG_KEYS = DEConfig.__slots__
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
@@ -192,7 +185,7 @@ def _benchmark_trial(
     width = params.n.bit_length()
     rows = []
     baseline = random_scalar(params, substream(master_seed, trial, 1))
-    opt_config = replace(config, seed=substream_seed(master_seed, trial, 0))
+    opt_config = config.replace(seed=substream_seed(master_seed, trial, 0))
     optimized = optimize(opt_config, params).k_opt
     for source, scalar in (("random", baseline), ("optimized", optimized)):
         battery = run_battery(to_bits(scalar, width))

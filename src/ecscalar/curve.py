@@ -16,8 +16,9 @@ interval check, and whole-curve parameter validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ecscalar._frozen import Frozen
 from ecscalar.modmath import is_probable_prime
 
 __all__ = [
@@ -43,16 +44,16 @@ class FieldTooLargeError(ValueError):
     """Raised when exhaustive enumeration is requested above the guard."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """Affine curve point, or the point at infinity when both fields are None."""
 
-    x: int | None = None
-    y: int | None = None
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: int | None = None, y: int | None = None) -> None:
+        if (x is None) != (y is None):
             raise ValueError("affine points need both coordinates")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def is_infinity(self) -> bool:
@@ -67,28 +68,26 @@ class Point:
 INFINITY = Point()
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(Frozen):
     """Public parameters of one curve: y^2 = x^3 + ax + b over F_p.
 
-    ``g`` is the base point and ``n`` its order.  Immutable; share freely
-    across threads.
+    ``g`` is the base point and ``n`` its order; ``a`` and ``b`` are stored
+    reduced mod ``p``.  Immutable and hashable.
     """
 
-    name: str
-    p: int
-    a: int
-    b: int
-    g: Point
-    n: int
+    __slots__ = ("name", "p", "a", "b", "g", "n")
 
-    def __post_init__(self) -> None:
-        if self.p < 3:
-            raise ValueError(f"field prime must be >= 3, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"base point order must be >= 1, got {self.n}")
-        object.__setattr__(self, "a", self.a % self.p)
-        object.__setattr__(self, "b", self.b % self.p)
+    def __init__(self, name: str, p: int, a: int, b: int, g: Point, n: int) -> None:
+        if p < 3:
+            raise ValueError(f"field prime must be >= 3, got {p}")
+        if n < 1:
+            raise ValueError(f"base point order must be >= 1, got {n}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", a % p)
+        object.__setattr__(self, "b", b % p)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", n)
 
 
 def is_on_curve(point: Point, params: CurveParams) -> bool:
@@ -220,8 +219,7 @@ def hasse_check(count: int, p: int) -> bool:
     return (count - p - 1) ** 2 <= 4 * p
 
 
-@dataclass(frozen=True)
-class CurveValidation:
+class CurveValidation(NamedTuple):
     """Outcome of the four independent parameter checks, plus the residue
     4a^3 + 27b^2 mod p actually computed for the discriminant test."""
 
@@ -233,12 +231,7 @@ class CurveValidation:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.discriminant_nonzero
-            and self.generator_on_curve
-            and self.order_annihilates_generator
-            and self.modulus_prime
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
         out = []

@@ -24,11 +24,11 @@ search runs on plain ints; entropy is computed only where it is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ecscalar import kernels
+from ecscalar._frozen import Frozen
 from ecscalar.bitcodec import shannon_entropy, to_bits
 from ecscalar.curve import CurveParams
 from ecscalar.rng import SplitMix64, bernoulli_threshold, substream
@@ -83,56 +83,60 @@ def parse_mutation_factor(value: Fraction | str | float | int) -> Fraction:
         ) from None
 
 
-@dataclass(frozen=True)
-class DEConfig:
-    """Knobs of one optimizer run; hashable and JSON-round-trippable.
+class DEConfig(Frozen):
+    """Knobs of one optimizer run; immutable, hashable, JSON-round-trippable.
 
     The mutation factor is stored as an exact rational.  ``seed`` is the
     64-bit master seed every substream derives from; two runs with equal
-    configs produce identical results.
+    configs produce identical results.  :meth:`replace` makes a changed
+    copy, validated like a new config.
     """
 
-    population_size: int = 50
-    mutation_factor: Fraction = Fraction(4, 5)
-    crossover_rate: float = 0.9
-    max_generations: int = 100
-    seed: int = 0
-    early_stop: bool = True
+    __slots__ = (
+        "population_size", "mutation_factor", "crossover_rate",
+        "max_generations", "seed", "early_stop",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mutation_factor", parse_mutation_factor(self.mutation_factor)
-        )
-        if not 4 <= self.population_size <= MAX_POPULATION_SIZE:
+    def __init__(
+        self,
+        population_size: int = 50,
+        mutation_factor: Fraction | str | float | int = Fraction(4, 5),
+        crossover_rate: float = 0.9,
+        max_generations: int = 100,
+        seed: int = 0,
+        early_stop: bool = True,
+    ) -> None:
+        mutation_factor = parse_mutation_factor(mutation_factor)
+        if not 4 <= population_size <= MAX_POPULATION_SIZE:
             raise ValueError(
                 f"population_size must be in [4, {MAX_POPULATION_SIZE}], "
-                f"got {self.population_size}"
+                f"got {population_size}"
             )
-        if not 0 < self.mutation_factor < 1:
-            raise ValueError(
-                f"mutation_factor must be in (0, 1), got {self.mutation_factor}"
-            )
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError(
-                f"crossover_rate must be in [0, 1], got {self.crossover_rate}"
-            )
-        if self.max_generations < 1:
-            raise ValueError(
-                f"max_generations must be >= 1, got {self.max_generations}"
-            )
-        if not 0 <= self.seed < (1 << 64):
+        if not 0 < mutation_factor < 1:
+            raise ValueError(f"mutation_factor must be in (0, 1), got {mutation_factor}")
+        if not 0.0 <= crossover_rate <= 1.0:
+            raise ValueError(f"crossover_rate must be in [0, 1], got {crossover_rate}")
+        if max_generations < 1:
+            raise ValueError(f"max_generations must be >= 1, got {max_generations}")
+        if not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "population_size", population_size)
+        object.__setattr__(self, "mutation_factor", mutation_factor)
+        object.__setattr__(self, "crossover_rate", crossover_rate)
+        object.__setattr__(self, "max_generations", max_generations)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "early_stop", early_stop)
+
+    def replace(self, **changes: object) -> DEConfig:
+        """A copy with ``changes`` applied, validated like a new config."""
+        return DEConfig(**{**self.as_dict(), **changes})
 
     def as_dict(self) -> dict:
-        """Echo form used in manifests and config files."""
-        return {
-            "population_size": self.population_size,
-            "mutation_factor": str(self.mutation_factor),
-            "crossover_rate": self.crossover_rate,
-            "max_generations": self.max_generations,
-            "seed": self.seed,
-            "early_stop": self.early_stop,
-        }
+        """Echo form used in manifests and config files; ``DEConfig(**echo)``
+        rebuilds an equal config."""
+        echo = dict(zip(self.__slots__, self._values()))
+        echo["mutation_factor"] = str(self.mutation_factor)
+        return echo
 
 
 class Individual(NamedTuple):
@@ -153,8 +157,7 @@ class GenerationStat(NamedTuple):
     mean_entropy: float
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     """Best scalar, its entropy, and the per-generation entropy history."""
 
     k_opt: int

@@ -18,8 +18,8 @@ failures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ecscalar.curve import CurveParams, Point, validate_curve
 from ecscalar.modmath import is_probable_prime, parse_hex
@@ -56,8 +56,7 @@ class Provenance(str, Enum):
     USER_FILE = "user-file"
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     params: CurveParams
     provenance: Provenance
     erratum_note: str | None = None
@@ -209,8 +208,9 @@ _CURVE_KEYS = ("name", "p", "a", "b", "gx", "gy", "n")
 def load_file(path: str) -> RegistryEntry:
     """Load and validate a user curve file (keys: name, p, a, b, gx, gy, n;
     all but ``name`` in hex).  Parse errors carry file/line/key context.
-    Values of a, b, gx or gy not below p fail before the curve checks run;
-    otherwise validation failures list every check that failed."""
+    A p below 3, an n of 0, or a, b, gx or gy not below p fail before the
+    curve checks run; otherwise validation failures list every check that
+    failed.  All of them raise RegistryValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -229,14 +229,18 @@ def load_file(path: str) -> RegistryEntry:
             numbers[key] = parse_hex(pairs[key])
         except ValueError as exc:
             raise CurveFileError(f"{path}: key {key!r}: {exc}") from None
-    params = CurveParams(
-        name=pairs["name"],
-        p=numbers["p"],
-        a=numbers["a"],
-        b=numbers["b"],
-        g=Point(numbers["gx"], numbers["gy"]),
-        n=numbers["n"],
-    )
+    failed = f"curve {pairs['name']!r} failed validation: "
+    try:
+        params = CurveParams(
+            name=pairs["name"],
+            p=numbers["p"],
+            a=numbers["a"],
+            b=numbers["b"],
+            g=Point(numbers["gx"], numbers["gy"]),
+            n=numbers["n"],
+        )
+    except ValueError as exc:  # p < 3 or n < 1
+        raise RegistryValidationError(failed + str(exc)) from None
     # SEC 1 v2 section 3.1.1.2.1: a, b, gx and gy lie in [0, p-1].  Checked
     # on the file's own values, since CurveParams reduces a and b mod p.
     too_large = [
@@ -245,9 +249,7 @@ def load_file(path: str) -> RegistryEntry:
         if numbers[key] >= params.p
     ]
     if too_large:
-        raise RegistryValidationError(
-            f"curve {params.name!r} failed validation: " + "; ".join(too_large)
-        )
+        raise RegistryValidationError(failed + "; ".join(too_large))
     entry = RegistryEntry(params, Provenance.USER_FILE)
     _validate_entry(entry)
     return entry

@@ -26,9 +26,8 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ecscalar.bitcodec import BitString, shannon_entropy
 from ecscalar.modmath import format_hex
@@ -60,8 +59,7 @@ DEFAULT_LAGS = (2, 4, 5, 16, 32, 43, 45, 50, 55, 60)
 RECOMMENDED_MIN_WIDTH = 100
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """One test outcome: the raw statistic, the p-value when the test has
     one (statistic-only tests report None and always pass), the verdict at
     ALPHA, and named auxiliary values (counts, lags, flags)."""
@@ -70,11 +68,10 @@ class TestReport:
     statistic: float
     p_value: float | None
     passed: bool
-    auxiliary: dict[str, float] = field(default_factory=dict)
+    auxiliary: dict[str, float]
 
 
-@dataclass(frozen=True)
-class BatteryReport:
+class BatteryReport(NamedTuple):
     scalar_hex: str
     width: int
     tests: tuple[TestReport, ...]

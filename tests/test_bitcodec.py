@@ -1,6 +1,8 @@
 """Bit string codec and the entropy objective."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,32 @@ class TestToBits:
     def test_msb_first_indexing(self):
         s = to_bits(19, 5)  # 10011
         assert str(s) == "10011"
+
+
+class TestRecordContract:
+    """BitString is an immutable value: fields cannot be assigned or
+    deleted, equal values give equal objects and hashes, and copies and
+    pickles are equal to the original."""
+
+    @pytest.mark.parametrize("field", ["value", "width"])
+    def test_fields_cannot_be_assigned(self, field):
+        s = BitString(19, 5)
+        with pytest.raises(AttributeError):
+            setattr(s, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(s, field)
+        assert (s.value, s.width) == (19, 5)
+
+    def test_equal_values_equal_objects_and_hashes(self):
+        assert BitString(19, 5) == BitString(19, 5)
+        assert hash(BitString(19, 5)) == hash(BitString(19, 5))
+        assert BitString(19, 5) != BitString(19, 6)
+        assert BitString(19, 5) != BitString(18, 5)
+
+    def test_copy_and_pickle_round_trip(self):
+        s = BitString(19, 5)
+        assert copy.copy(s) == s
+        assert pickle.loads(pickle.dumps(s)) == s
 
 
 class TestFromBits:

@@ -452,6 +452,31 @@ class TestConfigFile:
         assert f"{key} = {value} is not below p" in err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("p", "0x2", "field prime must be >= 3, got 2"),
+            ("p", "0x0", "field prime must be >= 3, got 0"),
+            ("n", "0x0", "base point order must be >= 1, got 0"),
+        ],
+        ids=["p=0x2", "p=0x0", "n=0x0"],
+    )
+    def test_degenerate_p_or_n_exits_3(
+        self, capsys, tmp_path, command, key, value, message
+    ):
+        pairs = dict(_TOY29_PAIRS, **{key: value})
+        curve_file = tmp_path / "degenerate.curve"
+        curve_file.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        argv = [command, "--curve", str(curve_file), "--seed", "1"]
+        if command == "benchmark":
+            argv += ["--trials", "1", "--out", str(tmp_path / "b.csv")]
+        code, out, err = _run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "failed validation" in err and message in err
+        assert not (tmp_path / "b.csv").exists()
+
     @settings(
         max_examples=60,
         deadline=None,
@@ -533,12 +558,18 @@ class TestUsage:
 
 def test_import_leaves_unused_modules_unloaded():
     # secrets serves only seedless runs, and nothing uses threads; neither
-    # belongs on every command's import path.
+    # belongs on every command's import path.  Nor does dataclasses: it
+    # pulls in inspect, ast, dis and tokenize, which nothing else loads,
+    # and execs generated methods for every decorated class.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    unused = (
+        "secrets", "concurrent.futures",
+        "dataclasses", "inspect", "ast", "dis", "tokenize",
+    )
     probe = (
         "import sys, ecscalar.cli; "
-        "print([m for m in ('secrets', 'concurrent.futures') if m in sys.modules])"
+        f"print([m for m in {unused!r} if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -1,5 +1,8 @@
 """Group law, enumeration, Hasse bound, and parameter validation."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,65 @@ from ecscalar.registry import MISPRINTED_P224_GX, MISPRINTED_P256_GY, load_built
 from reference_data import TOY29_AFFINE_TABLE
 
 G = Point(0, 7)
+
+
+class TestRecordContract:
+    """Point and CurveParams are immutable values that validate on
+    construction; CurveParams stores a and b reduced mod p."""
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_point_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(G, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(G, field)
+        assert (G.x, G.y) == (0, 7)
+
+    @pytest.mark.parametrize("field", ["name", "p", "a", "b", "g", "n"])
+    def test_curve_fields_cannot_be_assigned(self, toy29, field):
+        with pytest.raises(AttributeError):
+            setattr(toy29, field, 1)
+        assert (toy29.p, toy29.a, toy29.n) == (29, 4, 37)
+
+    def test_point_equality_and_hash(self):
+        assert Point() == INFINITY and Point().is_infinity
+        assert Point(0, 7) == G and hash(Point(0, 7)) == hash(G)
+        assert Point(0, 7) != Point(7, 0) and G != INFINITY
+        assert repr(G) == "Point(0, 7)" and repr(INFINITY) == "Point(infinity)"
+
+    @pytest.mark.parametrize("x, y", [(1, None), (None, 1)])
+    def test_point_needs_both_coordinates(self, x, y):
+        with pytest.raises(ValueError, match="affine points need both"):
+            Point(x, y)
+
+    def test_curve_equality_and_hash(self, toy29):
+        same = CurveParams(name="toy29", p=29, a=4, b=20, g=Point(0, 7), n=37)
+        assert same == toy29 and hash(same) == hash(toy29)
+        assert CurveParams(name="toy29", p=29, a=4, b=20, g=G, n=36) != toy29
+        assert CurveParams(name="other", p=29, a=4, b=20, g=G, n=37) != toy29
+
+    def test_a_and_b_stored_mod_p(self, toy29):
+        wide = CurveParams(name="toy29", p=29, a=4 + 29, b=20 - 2 * 29, g=G, n=37)
+        assert (wide.a, wide.b) == (4, 20)
+        assert wide == toy29
+
+    @pytest.mark.parametrize(
+        "p, n, message",
+        [
+            (2, 37, "field prime must be >= 3, got 2"),
+            (0, 37, "field prime must be >= 3, got 0"),
+            (29, 0, "base point order must be >= 1, got 0"),
+        ],
+    )
+    def test_degenerate_p_or_n_is_a_value_error(self, p, n, message):
+        with pytest.raises(ValueError) as info:
+            CurveParams(name="bad", p=p, a=4, b=20, g=G, n=n)
+        assert str(info.value) == message
+
+    def test_copy_and_pickle_round_trip(self, p256):
+        for value in (G, INFINITY, p256):
+            assert copy.copy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestOnCurve:

@@ -1,6 +1,7 @@
 """Differential-evolution operators and the full optimizer loop."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,45 @@ class TestConfig:
         echo = DEConfig(seed=7).as_dict()
         assert echo["mutation_factor"] == "4/5"
         assert echo["seed"] == 7
+
+
+class TestConfigContract:
+    """DEConfig is an immutable, hashable value; its copy validates like
+    the constructor."""
+
+    @pytest.mark.parametrize("field", ["population_size", "seed", "early_stop"])
+    def test_fields_cannot_be_assigned(self, field):
+        config = DEConfig(seed=3)
+        with pytest.raises(AttributeError):
+            setattr(config, field, 5)
+        assert config == DEConfig(seed=3)
+
+    def test_equal_configs_equal_hashes_and_dict_keys(self):
+        a = DEConfig(seed=3, mutation_factor="4/5")
+        b = DEConfig(seed=3, mutation_factor=0.8)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "run"}[b] == "run"
+        assert DEConfig(seed=4) != a
+
+    def test_replace_changes_only_the_named_fields(self):
+        base = DEConfig(seed=3, population_size=8, early_stop=False)
+        copy = base.replace(seed=9)
+        assert copy == DEConfig(seed=9, population_size=8, early_stop=False)
+        assert base.seed == 3
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": -1}, {"population_size": 3}], ids=["seed", "population"]
+    )
+    def test_replace_validates_like_the_constructor(self, kwargs):
+        with pytest.raises(ValueError) as direct:
+            DEConfig(**kwargs)
+        with pytest.raises(ValueError) as copied:
+            DEConfig(seed=3).replace(**kwargs)
+        assert str(copied.value) == str(direct.value)
+
+    def test_pickle_round_trip(self):
+        config = DEConfig(seed=3, mutation_factor="2/3", early_stop=False)
+        assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestInitialize:
@@ -299,6 +339,13 @@ class TestOptimize:
     def test_width_override_too_small_rejected(self, p192):
         with pytest.raises(ValueError):
             optimize(DEConfig(seed=1), p192, width=191)
+
+    def test_equal_configs_give_equal_results(self, toy29):
+        config = DEConfig(population_size=8, seed=5, early_stop=False,
+                          max_generations=10)
+        first = optimize(config, toy29)
+        assert optimize(DEConfig(**config.as_dict()), toy29) == first
+        assert optimize(config.replace(seed=6), toy29) != first
 
     def test_final_population_valid(self, p192):
         config = DEConfig(seed=77, early_stop=False, max_generations=5)
