@@ -18,8 +18,12 @@ A trial outside [1, n-1] simply loses selection; nothing is
 re-randomized, so the population always stays valid.
 
 All randomness comes from per-(generation, index) substreams derived from
-the run seed, which makes results independent of evaluation order.  The
-search runs on plain ints; entropy is computed only where it is reported.
+the run seed, which makes results independent of evaluation order.  That
+is what lets a generation build no trial at all for a parent already at
+the floor, the lowest imbalance any scalar in [1, n-1] has at this width:
+no trial could replace it, and leaving its substream undrawn changes no
+other slot.  The same floor is the early-stop target.  The search runs on
+plain ints; entropy is computed only where it is reported.
 """
 
 from __future__ import annotations
@@ -269,6 +273,18 @@ def select(parent: Individual, trial: Individual) -> Individual:
     return trial if trial.imbalance < parent.imbalance else parent
 
 
+def _imbalance_floor(n: int, width: int) -> int:
+    """Lowest |ones - zeros| of any scalar in [1, n-1] at ``width`` bits.
+
+    Every ones count from 1 to the range's largest one is reached (by
+    2**c - 1, or by n - 1 itself), so the floor is balance (``width % 2``)
+    unless ``width`` needs more ones than any scalar in range has.
+    """
+    m = n - 1
+    most_ones = max(m.bit_count(), m.bit_length() - 1)
+    return max(width % 2, width - 2 * most_ones)
+
+
 def _propose(
     scalars: Sequence[Individual],
     i: int,
@@ -293,17 +309,23 @@ def step_generation(
     width: int,
     generation: int,
 ) -> list[Individual]:
-    """One synchronous DE generation: all trials are built against a snapshot
-    of the current population, then selection runs slot by slot."""
+    """One synchronous DE generation: every trial is built against a snapshot
+    of the current population and selected against its own parent.
+
+    A parent at the imbalance floor keeps its slot without a trial (and
+    without drawing its substream): strict selection could never replace
+    it, and the other slots read only the snapshot.
+    """
     snapshot = tuple(population)
-    trials = [
-        _propose(snapshot, i, config, n, width, generation)
-        for i in range(len(snapshot))
-    ]
-    return [
-        parent if trial is None else select(parent, trial)
-        for parent, trial in zip(snapshot, trials)
-    ]
+    floor = _imbalance_floor(n, width)
+    out = []
+    for i, parent in enumerate(snapshot):
+        if parent.imbalance > floor:
+            trial = _propose(snapshot, i, config, n, width, generation)
+            if trial is not None:
+                parent = select(parent, trial)
+        out.append(parent)
+    return out
 
 
 def _entropy(ind: Individual) -> float:
@@ -334,8 +356,9 @@ def optimize(
     ``width`` defaults to bit_length(n), which makes every scalar in
     [1, n-1] representable; overrides below that are rejected.  With
     ``early_stop`` the loop exits as soon as some individual reaches the
-    maximal entropy achievable at this width (perfect balance for even
-    widths).
+    maximal entropy any scalar in [1, n-1] has at this width (balance, or
+    one off it for odd widths, unless the width outruns the range's
+    largest ones count).
     """
     n = curve.n
     w = width if width is not None else n.bit_length()
@@ -344,8 +367,7 @@ def optimize(
             f"width {w} cannot represent scalars up to n-1 "
             f"(need >= {n.bit_length()})"
         )
-    # Lowest reachable |ones - zeros| at this width: 0 when even, 1 when odd.
-    target_imbalance = w % 2
+    target_imbalance = _imbalance_floor(n, w)
 
     population = initialize(config, n, w)
     history = [_stat(0, population)]

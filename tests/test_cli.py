@@ -134,6 +134,16 @@ class TestGenerate:
         assert doc["width"] == 8
         assert len(doc["k_opt"]) == 4  # 0x + 2 hex digits
 
+    def test_width_beyond_the_range_stops_at_its_floor(self, capsys):
+        # Five ones is the most any scalar below 37 has, so at width 1000
+        # the run stops as soon as it holds one with five ones.
+        doc = _run_json(
+            capsys, "generate", "--curve", "toy29", "--width", "1000",
+            "--seed", "1",
+        )
+        assert doc["generations_run"] == 0
+        assert doc["ones"] == 5
+
 
 class TestDeterminism:
     @staticmethod

@@ -5,7 +5,10 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecscalar import de_opt, kernels
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.de_opt import (
     MAX_POPULATION_SIZE,
@@ -21,6 +24,7 @@ from ecscalar.de_opt import (
     select,
     step_generation,
 )
+from ecscalar.registry import builtin_names, load_builtin
 from ecscalar.rng import SplitMix64, substream
 from ecscalar.statbattery import ordered_sum
 
@@ -307,6 +311,112 @@ class TestStepGeneration:
             for before, after in zip(pop, new_pop):
                 assert after.imbalance <= before.imbalance
             pop = new_pop
+
+
+def _step_proposing_every_slot(population, config, n, width, generation):
+    """Reference generation that builds a trial for every slot, parents at
+    the floor included, from the public operators."""
+    snapshot = tuple(population)
+    out = []
+    for i, parent in enumerate(snapshot):
+        stream = substream(config.seed, generation, i)
+        v = mutate(snapshot, i, config.mutation_factor, n, stream)
+        trial = crossover(parent.scalar, v, width, config.crossover_rate, stream)
+        if 1 <= trial <= n - 1:
+            parent = select(parent, Individual(trial, width))
+        out.append(parent)
+    return out
+
+
+def _floor_scalars(n, width):
+    """A few scalars in [1, n-1] at the imbalance floor of ``width``."""
+    floor = de_opt._imbalance_floor(n, width)
+    if n < 1 << 12:
+        found = [k for k in range(1, n) if Individual(k, width).imbalance == floor]
+    else:
+        half = (1 << 96) - 1  # 96 ones: the floor at widths 192 and 193
+        found = [half, half << 95, int("5" * 48, 16)]
+    assert found and all(
+        1 <= k < n and Individual(k, width).imbalance == floor for k in found)
+    return found
+
+
+class TestImbalanceFloor:
+    def test_matches_brute_force_for_every_small_n(self):
+        # ones counts of the scalars in [1, n-1], grown one n at a time
+        counts = set()
+        for n in range(2, 1 << 10):
+            counts.add((n - 1).bit_count())
+            if n < 5:
+                continue
+            bits = n.bit_length()
+            for width in range(bits, 3 * bits + 1):
+                brute = min(abs(2 * c - width) for c in counts)
+                assert de_opt._imbalance_floor(n, width) == brute, (n, width)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_default_width_floor_is_balance(self, name):
+        n = load_builtin(name).params.n
+        assert de_opt._imbalance_floor(n, n.bit_length()) == n.bit_length() % 2
+
+
+class TestFloorSkip:
+    """step_generation builds no trial for a parent at the floor, and that
+    changes no outcome."""
+
+    @pytest.mark.parametrize(
+        "name, width",
+        [("toy29", 6), ("toy29", 7), ("toy29", 13), ("p192", 192), ("p192", 193)],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_proposing_every_slot(self, name, width, data):
+        n = load_builtin(name).params.n
+        size = data.draw(st.integers(4, 20), label="population size")
+        scalars = data.draw(st.lists(
+            st.one_of(st.integers(1, n - 1),
+                      st.sampled_from(_floor_scalars(n, width))),
+            min_size=size, max_size=size))
+        config = DEConfig(
+            population_size=size,
+            seed=data.draw(st.integers(0, (1 << 64) - 1), label="seed"),
+            crossover_rate=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        )
+        pop = [Individual(k, width) for k in scalars]
+        for generation in range(1, 4):
+            expected = _step_proposing_every_slot(pop, config, n, width, generation)
+            pop = step_generation(pop, config, n, width, generation)
+            assert pop == expected
+
+    def test_trials_only_for_parents_above_the_floor(self, p256, monkeypatch):
+        config = DEConfig(seed=2024, early_stop=False, max_generations=30)
+        n, width = p256.n, p256.n.bit_length()
+        floor = de_opt._imbalance_floor(n, width)
+        fills, drawn = [], []
+        real_fill, real_substream = kernels.crossover_fill, de_opt.substream
+
+        def counting_fill(*args):
+            fills.append(args)
+            return real_fill(*args)
+
+        def recording_substream(seed, generation, i):
+            drawn.append((generation, i))
+            return real_substream(seed, generation, i)
+
+        pop = initialize(config, n, width)
+        monkeypatch.setattr(kernels, "crossover_fill", counting_fill)
+        monkeypatch.setattr(de_opt, "substream", recording_substream)
+        above = []
+        for t in range(1, config.max_generations + 1):
+            above += [(t, i) for i, ind in enumerate(pop) if ind.imbalance > floor]
+            pop = step_generation(pop, config, n, width, t)
+        monkeypatch.undo()
+
+        assert drawn == above  # no substream drawn for a parent at the floor
+        assert len(fills) == len(above)
+        assert 0 < len(above) < config.max_generations * config.population_size
+        best = min(pop, key=lambda ind: ind.imbalance)
+        assert best.scalar == optimize(config, p256).k_opt
 
 
 class TestOptimize:
