@@ -47,6 +47,15 @@ from ecscalar.statbattery import DEFAULT_LAGS, ordered_sum, run_battery
 # Config-file keys and their flags are DEConfig's fields.
 _CONFIG_KEYS = DEConfig.__slots__
 
+# Largest accepted ``benchmark --trials``.  A trial on p256, the costliest
+# built-in, takes about 0.5 ms, so the largest run takes about 5 s and
+# writes about 1.1 MB of CSV.
+MAX_TRIALS = 10_000
+
+# Largest accepted ``audit --width``: the battery at 2**16 bits takes about
+# 0.07 s and writes about 100 KB of JSON, most of it the echoed scalar.
+MAX_AUDIT_WIDTH = 1 << 16
+
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
 
@@ -153,6 +162,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return 2
     if not 0.0 < args.alpha < 1.0:
         print("audit: --alpha must lie strictly between 0 and 1", file=sys.stderr)
+        return 2
+    if args.width is not None and args.width > MAX_AUDIT_WIDTH:
+        print(f"audit: --width must be at most {MAX_AUDIT_WIDTH}", file=sys.stderr)
         return 2
     curve_name = None
     if args.curve is not None:
@@ -367,8 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code in (0, None) else int(exc.code)
 
-    if getattr(args, "trials", 1) < 1:
-        print("benchmark: --trials must be >= 1", file=sys.stderr)
+    if not 1 <= getattr(args, "trials", 1) <= MAX_TRIALS:
+        print(f"benchmark: --trials must be in [1, {MAX_TRIALS}]", file=sys.stderr)
         return 2
     if getattr(args, "workers", 1) < 1:
         print(f"{args.command}: --workers must be >= 1", file=sys.stderr)

@@ -189,16 +189,24 @@ def initialize(config: DEConfig, n: int, width: int | None = None) -> list[Indiv
     """Draw the initial population, one substream per slot.
 
     Individual i comes from substream (seed, 0, i), so the initial
-    population is a pure function of the config.
+    population is a pure function of the config.  Every slot's first draw
+    is computed word-parallel; only a slot whose first draw falls outside
+    [1, n-1] derives its substream and draws on from it.
     """
     if n < 5:
         raise ValueError(f"scalar range [1, n-1] too small: n = {n}")
     w = width if width is not None else n.bit_length()
-    out = []
-    for i in range(config.population_size):
-        stream = substream(config.seed, _INIT_GENERATION, i)
-        out.append(Individual(_draw_scalar(stream, n), w))
-    return out
+    first = kernels._first_draws(
+        config.seed, _INIT_GENERATION, config.population_size, n.bit_length()
+    )
+    return [
+        Individual(
+            v if 1 <= v < n
+            else _draw_scalar(substream(config.seed, _INIT_GENERATION, i), n),
+            w,
+        )
+        for i, v in enumerate(first)
+    ]
 
 
 def _round_ratio(num: int, den: int) -> int:

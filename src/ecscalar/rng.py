@@ -85,6 +85,13 @@ class SplitMix64:
         return value & ((1 << width) - 1)
 
 
+def _substream_prefix(seed: int, generation: int) -> int:
+    """The (seed, generation) part of every substream seed of a generation:
+    substream_seed(seed, generation, i) is mix64(prefix + (i+1)*gamma)."""
+    h = mix64((seed + GOLDEN_GAMMA) & MASK64)
+    return mix64((h + (generation + 1) * GOLDEN_GAMMA) & MASK64)
+
+
 def substream_seed(seed: int, generation: int, index: int) -> int:
     """Stateless 64-bit substream seed for work item (generation, index).
 
@@ -92,8 +99,7 @@ def substream_seed(seed: int, generation: int, index: int) -> int:
     Weyl step and re-avalanched, so distinct (generation, index) pairs map to
     unrelated seeds regardless of evaluation order.
     """
-    h = mix64((seed + GOLDEN_GAMMA) & MASK64)
-    h = mix64((h + (generation + 1) * GOLDEN_GAMMA) & MASK64)
+    h = _substream_prefix(seed, generation)
     return mix64((h + (index + 1) * GOLDEN_GAMMA) & MASK64)
 
 

@@ -16,7 +16,8 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
-from ecscalar.cli import main
+from ecscalar import cli
+from ecscalar.cli import MAX_AUDIT_WIDTH, MAX_TRIALS, main
 from ecscalar.de_opt import MAX_POPULATION_SIZE
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -282,6 +283,16 @@ class TestAudit:
         assert monobit_default["passed"] and not monobit_strict["passed"]
         assert not strict["overall_pass"]
 
+    def test_width_above_cap_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "audit", "--width", str(MAX_AUDIT_WIDTH + 1), "0x1")
+        assert code == 2 and out == ""
+        assert err == f"audit: --width must be at most {MAX_AUDIT_WIDTH}\n"
+
+    def test_width_at_cap_is_accepted(self, capsys):
+        doc = _run_json(capsys, "audit", "--width", str(MAX_AUDIT_WIDTH), "0x1")
+        assert doc["width"] == MAX_AUDIT_WIDTH
+
     def test_alpha_out_of_range_exits_2(self, capsys):
         code, _, err = _run(
             capsys, "audit", "--width", "8", "--alpha", "1.5", "0x55")
@@ -334,6 +345,29 @@ class TestBenchmark:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2 and "--trials" in err
+
+    def test_trials_above_cap_exits_2(self, capsys, tmp_path):
+        csv_path = tmp_path / "x.csv"
+        code, out, err = _run(
+            capsys, "benchmark", "--curve", "toy29",
+            "--trials", str(MAX_TRIALS + 1), "--out", str(csv_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"benchmark: --trials must be in [1, {MAX_TRIALS}]\n"
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("trials", [None, 50, MAX_TRIALS])
+    def test_trials_up_to_cap_are_accepted(self, capsys, monkeypatch, trials):
+        # Validation only: the stub stands in for running the trials.
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_benchmark", lambda args: seen.append(args.trials) or 0)
+        argv = ["benchmark", "--curve", "toy29", "--out", "unused.csv"]
+        if trials is not None:
+            argv += ["--trials", str(trials)]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (0, "", "")
+        assert seen == [100 if trials is None else trials]
 
     def test_unwritable_output_exits_4(self, capsys):
         code, _, err = _run(

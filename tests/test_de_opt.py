@@ -150,6 +150,49 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize(DEConfig(), n=4)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.one_of(
+            st.just(37),  # toy29: 28 of the 64 six-bit draws are rejected
+            st.sampled_from((63, 64, 65, 128, 129, 192, 224, 256)).flatmap(
+                lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)
+            ),
+        ),
+        seed=st.one_of(
+            st.sampled_from((0, (1 << 64) - 1)), st.integers(0, (1 << 64) - 1)
+        ),
+        size=st.integers(4, 300),
+    )
+    def test_matches_per_slot_draws(self, n, seed, size):
+        config = DEConfig(population_size=size, seed=seed)
+        assert [ind.scalar for ind in initialize(config, n)] == [
+            de_opt._draw_scalar(substream(seed, 0, i), n) for i in range(size)
+        ]
+
+    def test_rejected_first_draws_fall_back_to_their_own_stream(
+        self, toy29, monkeypatch
+    ):
+        config = DEConfig(population_size=200, seed=31)
+        n, bits = toy29.n, toy29.n.bit_length()
+        rejected = [
+            i for i in range(200)
+            if not 1 <= substream(31, 0, i).next_bits(bits) <= n - 1
+        ]
+        derived = []
+        real_substream = de_opt.substream
+
+        def recording_substream(seed, generation, i):
+            derived.append(i)
+            return real_substream(seed, generation, i)
+
+        monkeypatch.setattr(de_opt, "substream", recording_substream)
+        pop = initialize(config, n)
+        assert 40 <= len(rejected) <= 160  # about 28/64 of the slots
+        assert derived == rejected
+        assert [ind.scalar for ind in pop] == [
+            de_opt._draw_scalar(real_substream(31, 0, i), n) for i in range(200)
+        ]
+
 
 class TestMutate:
     def test_exact_scaling(self):

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecscalar import kernels
-from ecscalar.rng import GOLDEN_GAMMA, MASK64, SplitMix64, bernoulli_threshold
+from ecscalar import de_opt, kernels
+from ecscalar.de_opt import DEConfig, initialize
+from ecscalar.rng import (
+    GOLDEN_GAMMA,
+    MASK64,
+    SplitMix64,
+    bernoulli_threshold,
+    substream,
+)
 
 
 def _reference_mask(state, width, threshold, j_rand):
@@ -88,6 +95,7 @@ EDGE_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193,
 def _clear_lane_caches():
     kernels._lanes.cache_clear()
     kernels._bound.cache_clear()
+    kernels._draw_ramps.cache_clear()
 
 
 class TestWordParallelKernel:
@@ -136,3 +144,45 @@ class TestWordParallelKernel:
     def test_lane_caches_are_bounded(self):
         assert kernels._lanes.cache_info().maxsize is not None
         assert kernels._bound.cache_info().maxsize is not None
+        assert kernels._draw_ramps.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize(
+        "n, size", [(37, 192), ((1 << 255) + 95, 48)], ids=["toy29", "4-word"]
+    )
+    def test_initial_draw_and_crossover_share_lanes_in_any_order(self, n, size):
+        # Both draw on 192 lanes: 192 one-word slots, or 48 four-word ones.
+        config = DEConfig(population_size=size, seed=77)
+        threshold = bernoulli_threshold(0.9)
+        results = []
+        for init_first in (True, False, True):
+            _clear_lane_caches()
+            if init_first:
+                pop = initialize(config, n)
+                mask = kernels.crossover_fill(0xDEADBEEF, 192, threshold, 5)
+            else:
+                mask = kernels.crossover_fill(0xDEADBEEF, 192, threshold, 5)
+                pop = initialize(config, n)
+            results.append((pop, mask))
+        assert results[0] == results[1] == results[2]
+        pop, mask = results[0]
+        assert [ind.scalar for ind in pop] == [
+            de_opt._draw_scalar(substream(77, 0, i), n) for i in range(size)
+        ]
+        assert mask == _reference_mask(0xDEADBEEF, 192, threshold, 5)
+
+
+class TestFirstDraws:
+    """The initial population's batch draw against per-slot substreams."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from((0, MASK64)), st.integers(0, MASK64)),
+        generation=st.integers(0, 1000),
+        count=st.integers(1, 300),
+        bits=st.one_of(st.sampled_from(EDGE_WIDTHS), st.integers(1, 600)),
+    )
+    def test_matches_per_slot_first_draws(self, seed, generation, count, bits):
+        got = kernels._first_draws(seed, generation, count, bits)
+        assert got == [
+            substream(seed, generation, i).next_bits(bits) for i in range(count)
+        ]
