@@ -3,10 +3,16 @@
 
 Prints microseconds per call of ``run_battery``, ``autocorrelation`` (lag 2)
 and ``compression_ratio`` at the three production widths and at 100 000
-bits.  Every timed result is compared with a per-bit reference: the list
-computation of the autocorrelation, adding its terms strictly in bit order,
-the length of the actual run-length + Elias-gamma encoding, and a bit-by-bit
-count of the runs.  Any difference is a bug, and the script exits non-zero.
+bits, on a random string and on a balanced one, and names the path the
+autocorrelation took: ``exact`` (popcounts, where the per-bit float sums are
+exact) or ``ordered`` (the per-bit ordered sum over the string's bytes).  At
+192, 224 and 100 000 bits the random string is redrawn until it takes the
+ordered path, so both paths are timed there; every 256-bit string and every
+balanced string of even width takes the exact path.  Every timed result is
+compared with a per-bit reference: the list computation of the
+autocorrelation, adding its terms strictly in bit order, the length of the
+actual run-length + Elias-gamma encoding, and a bit-by-bit count of the
+runs.  Any difference is a bug, and the script exits non-zero.
 
 Run from the repository root:
 
@@ -19,6 +25,7 @@ import time
 from ecscalar.bitcodec import BitString
 from ecscalar.statbattery import (
     DEFAULT_LAGS,
+    _exact_sums,
     autocorrelation,
     compression_ratio,
     rle_gamma_encode,
@@ -90,18 +97,34 @@ def check(s, battery, auto, compression):
         )
 
 
+def sample_strings(rng, width):
+    """A random string and a balanced string of ``width`` bits.  Below 2**18
+    bits only a power-of-two width puts every string on the exact path;
+    at any other width the random string is redrawn until it is off it."""
+    value = rng.getrandbits(width)
+    while width & (width - 1) and _exact_sums(value.bit_count(), width):
+        value = rng.getrandbits(width)
+    ones = rng.sample(range(width), width // 2)
+    return (
+        ("random", BitString(value, width)),
+        ("balanced", BitString(sum(1 << j for j in ones), width)),
+    )
+
+
 def main():
     rng = random.Random(2024)
-    print(f"{'width':>7}  {'run_battery':>12}  {'autocorr':>10}  {'compress':>10}"
-          "   (us per call)")
+    print(f"{'width':>7}  {'string':>8}  {'path':>7}  {'run_battery':>12}  "
+          f"{'autocorr':>10}  {'compress':>10}   (us per call)")
     for width in WIDTHS:
-        s = BitString(rng.getrandbits(width), width)
-        calls = 2000 if width <= 256 else 3
-        battery_us, battery = per_call_us(lambda: run_battery(s), calls)
-        auto_us, auto = per_call_us(lambda: autocorrelation(s, TIMED_LAG), calls)
-        comp_us, compression = per_call_us(lambda: compression_ratio(s), calls)
-        print(f"{width:>7}  {battery_us:12.1f}  {auto_us:10.1f}  {comp_us:10.1f}")
-        check(s, battery, auto, compression)
+        for kind, s in sample_strings(rng, width):
+            path = "exact" if _exact_sums(s.ones, width) else "ordered"
+            calls = 2000 if width <= 256 else 3
+            battery_us, battery = per_call_us(lambda: run_battery(s), calls)
+            auto_us, auto = per_call_us(lambda: autocorrelation(s, TIMED_LAG), calls)
+            comp_us, compression = per_call_us(lambda: compression_ratio(s), calls)
+            print(f"{width:>7}  {kind:>8}  {path:>7}  {battery_us:12.1f}  "
+                  f"{auto_us:10.1f}  {comp_us:10.1f}")
+            check(s, battery, auto, compression)
     print("\nall results equal the per-bit references")
 
 

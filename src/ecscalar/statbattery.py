@@ -11,13 +11,24 @@ precision, delegated to libm) and the chi-square upper tail via the
 regularized incomplete gamma function, implemented with the classic series /
 continued-fraction split so it stays independent of erfc.
 
-Every float sum in a report runs strictly left to right in a fixed order
-(:func:`ordered_sum`), on every supported Python: ``sum()`` of floats uses
-compensated summation since Python 3.12, which would move some reported
-digits between interpreter versions.  Autocorrelation and the compression
-ratio work on whole strings at once (bytes and regex passes) but add the
-same float terms in the same order as a per-bit loop, so their values are
-bit-identical to it.
+Every float sum in a report is defined as running strictly left to right
+in a fixed order (:func:`ordered_sum`), on every supported Python:
+``sum()`` of floats uses compensated summation since Python 3.12, which
+would move some reported digits between interpreter versions.  The
+compression ratio works on whole strings at once (regex passes) and adds
+the same terms in the same order as a per-bit loop.
+
+Autocorrelation is the per-bit ordered sum of centered products, with two
+ways to get it.  When the mean ones/w reduces to a/2**e with w*4**e <= 2**53
+(every string of width 256 or any power of two up to 2**17, and every
+balanced string of even width), every term is a multiple of 4**-e of
+magnitude at most 1, so every partial sum is a multiple of 4**-e of
+magnitude at most w: each fits in 53 bits, every float add is exact, and the
+ordered sum equals the exact rational.  Those sums then come from four
+popcounts, and int / int, which is correctly rounded, returns that same
+double.  Every other string takes the ordered pass over its bytes, which
+stays the definition.  Either way the values are bit-identical to a
+per-bit loop.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import operator
 import re
 import sys
 from functools import reduce
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from ecscalar.bitcodec import BitString, shannon_entropy
 from ecscalar.modmath import format_hex
@@ -251,6 +262,49 @@ def _lag_numerator(bits: bytes, mean: float, lag: int) -> float:
     return ordered_sum(_gather(products, codes))
 
 
+def _exact_sums(ones: int, width: int) -> bool:
+    """Whether the centered sums of a string with ``ones`` of ``width`` bits
+    are exact in floats: ones/width reduces to a/2**e with
+    width * 4**e <= 2**53 (see the module docstring)."""
+    d = width // math.gcd(ones, width)  # ones/width in lowest terms is a/d
+    return d & (d - 1) == 0 and width * d * d <= 1 << 53
+
+
+def _correlations(s: BitString, lags: Sequence[int]) -> list[float] | None:
+    """r at each lag, or None for a constant string (zero variance).
+
+    The one place that picks how the sums are computed: from popcounts when
+    :func:`_exact_sums` holds, else by the ordered pass that defines them.
+    """
+    w = s.width
+    ones = s.ones
+    if _exact_sums(ones, w):
+        # The exact rationals, each rounded once by int / int to the double
+        # the exact float sum already is: sum (b - m)**2 = ones*(w - ones)/w,
+        # and each lag numerator expands over hi (bits j) and lo (bits
+        # j + lag) with m = ones/w, over a common denominator w*w.
+        denom = ones * (w - ones) / w
+        if denom == 0.0:
+            return None
+        value = s.value
+        w2 = w * w
+        rs = []
+        for lag in lags:
+            hi = value >> lag
+            lo = value & ((1 << (w - lag)) - 1)
+            numerator = (
+                w2 * (hi & lo).bit_count()
+                - w * ones * (hi.bit_count() + lo.bit_count())
+                + (w - lag) * ones * ones
+            ) / w2
+            rs.append(numerator / denom)
+        return rs
+    bits, mean, denom = _centered(s)
+    if denom == 0.0:
+        return None
+    return [_lag_numerator(bits, mean, lag) / denom for lag in lags]
+
+
 def autocorrelation(s: BitString, lag: int) -> TestReport:
     """Sample autocorrelation of the bit sequence with its lag-shifted self.
 
@@ -258,19 +312,18 @@ def autocorrelation(s: BitString, lag: int) -> TestReport:
     centered products over positions [0, width-lag) while the denominator is
     the full centered sum of squares, so |r| <= 1 and r(0) = 1.  Constant
     sequences are degenerate (zero variance) and report r = 0 with a flag.
-    Both sums add their terms in bit order (:func:`ordered_sum`).
+    Both sums are the per-bit ordered sums (:func:`ordered_sum`), computed
+    exactly where the module docstring says they are exact.
     Statistic only — no p-value.
     """
     if not 0 <= lag < s.width:
         raise ValueError(f"lag {lag} out of range for width {s.width}")
-    bits, mean, denom = _centered(s)
+    rs = _correlations(s, (lag,))
     aux = {"lag": float(lag)}
-    if denom == 0.0:
+    if rs is None:
         aux["degenerate"] = 1.0
         return TestReport("autocorrelation", 0.0, None, True, aux)
-    return TestReport(
-        "autocorrelation", _lag_numerator(bits, mean, lag) / denom, None, True, aux
-    )
+    return TestReport("autocorrelation", rs[0], None, True, aux)
 
 
 def rle_gamma_encode(s: BitString) -> BitString:
@@ -339,15 +392,9 @@ def _entropy_report(s: BitString) -> TestReport:
 
 def _autocorrelation_summary(s: BitString) -> TestReport:
     lags = [lag for lag in DEFAULT_LAGS if lag < s.width]
-    # The bits, mean and denominator are shared by every lag.
-    bits, mean, denom = _centered(s)
-    aux: dict[str, float] = {}
-    values = []
-    for lag in lags:
-        r = 0.0 if denom == 0.0 else _lag_numerator(bits, mean, lag) / denom
-        aux[f"lag_{lag}"] = r
-        values.append(abs(r))
-    mean_abs = ordered_sum(values) / len(values) if values else 0.0
+    rs = _correlations(s, lags) or [0.0] * len(lags)
+    aux = {f"lag_{lag}": r for lag, r in zip(lags, rs)}
+    mean_abs = ordered_sum(map(abs, rs)) / len(rs) if rs else 0.0
     return TestReport("autocorrelation", mean_abs, None, True, aux)
 
 

@@ -16,9 +16,9 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
-from ecscalar import cli
+from ecscalar import cli, de_opt
 from ecscalar.cli import MAX_AUDIT_WIDTH, MAX_TRIALS, main
-from ecscalar.de_opt import MAX_POPULATION_SIZE
+from ecscalar.de_opt import MAX_GENERATIONS, MAX_POPULATION_SIZE
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -541,6 +541,23 @@ class TestConfigFile:
             assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
 
+def _generations_argv(tmp_path, route, population, generations):
+    """A full-budget toy29 generate with the given budget, set by flags or
+    by a config file (population None keeps the default)."""
+    values = {"max_generations": generations}
+    if population is not None:
+        values["population_size"] = population
+    argv = ["generate", "--curve", "toy29", "--seed", "1", "--no-early-stop"]
+    if route == "flag":
+        for key, value in values.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv += ["--config", str(config)]
+    return argv
+
+
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
@@ -586,6 +603,47 @@ class TestUsage:
         assert "population_size" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize(
+        "population,generations,message",
+        [
+            (None, MAX_GENERATIONS + 1, "max_generations must be in"),
+            (101, 9_901, "population_size * max_generations"),
+        ],
+        ids=["generations", "product"],
+    )
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_generations_over_a_cap_exit_2(
+        self, capsys, tmp_path, route, population, generations, message
+    ):
+        code, out, err = _run(
+            capsys, *_generations_argv(tmp_path, route, population, generations))
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "population,generations", [(None, MAX_GENERATIONS), (100, MAX_GENERATIONS)]
+    )
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_generations_at_the_caps_are_accepted(
+        self, capsys, monkeypatch, tmp_path, route, population, generations
+    ):
+        # Validation only: the stub runs one generation of the accepted config.
+        seen = []
+
+        def one_generation(config, params, width=None):
+            seen.append(config)
+            return de_opt.optimize(config.replace(max_generations=1), params, width)
+
+        monkeypatch.setattr(cli, "optimize", one_generation)
+        code, out, err = _run(
+            capsys, *_generations_argv(tmp_path, route, population, generations))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["manifest"]["config"]["max_generations"] == generations
+        assert [c.max_generations for c in seen] == [generations]
+        assert seen[0].population_size == (population or 50)
 
     def test_zero_denominator_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ecscalar import de_opt, kernels
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.de_opt import (
+    MAX_GENERATIONS,
     MAX_POPULATION_SIZE,
+    MAX_SLOT_GENERATIONS,
     DEConfig,
     Individual,
     PopulationTooSmallError,
@@ -79,6 +81,34 @@ class TestConfig:
         # Construction only: a run at the cap is never started here.
         config = DEConfig(population_size=MAX_POPULATION_SIZE)
         assert config.population_size == MAX_POPULATION_SIZE == 10_000
+
+    @pytest.mark.parametrize(
+        "population_size,max_generations",
+        [(50, MAX_GENERATIONS), (100, MAX_GENERATIONS), (MAX_POPULATION_SIZE, 100)],
+    )
+    def test_generation_caps_are_accepted(self, population_size, max_generations):
+        # Construction only: a run at the caps is never started here.
+        config = DEConfig(
+            population_size=population_size, max_generations=max_generations
+        )
+        assert config.max_generations == max_generations
+        assert MAX_GENERATIONS == 10_000
+        assert MAX_SLOT_GENERATIONS == MAX_POPULATION_SIZE * 100 == 1_000_000
+
+    @pytest.mark.parametrize(
+        "population_size,max_generations,message",
+        [
+            (4, MAX_GENERATIONS + 1, "max_generations"),
+            (101, 9_901, "population_size \\* max_generations"),
+            (MAX_POPULATION_SIZE, 101, "population_size \\* max_generations"),
+        ],
+        ids=["generations", "product-by-one", "largest-population"],
+    )
+    def test_just_above_a_generation_cap_rejected(
+        self, population_size, max_generations, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            DEConfig(population_size=population_size, max_generations=max_generations)
 
     def test_as_dict_echo(self):
         echo = DEConfig(seed=7).as_dict()
@@ -149,6 +179,16 @@ class TestInitialize:
     def test_tiny_n_rejected(self):
         with pytest.raises(ValueError):
             initialize(DEConfig(), n=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 600).flatmap(
+        lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+    ))
+    def test_cached_entropy_equals_the_string_entropy(self, value_width):
+        value, width = value_width
+        expected = shannon_entropy(BitString(value, width))
+        assert de_opt._entropy(value.bit_count(), width) == expected
+        assert de_opt._entropy.cache_info().maxsize is not None
 
     @settings(max_examples=120, deadline=None)
     @given(

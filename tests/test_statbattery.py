@@ -2,11 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecscalar import statbattery
 from ecscalar.bitcodec import BitString, to_bits
 from ecscalar.statbattery import (
     ALPHA,
@@ -388,6 +390,123 @@ class TestAutocorrelation:
                 rc = autocorrelation(_complement(s), lag).statistic
                 assert r == pytest.approx(rc, abs=1e-12)
                 assert abs(r) <= 1 + 1e-12
+
+
+def _summary(report):
+    return {t.test_name: t for t in report.tests}["autocorrelation"]
+
+
+def _reference_summary(s):
+    lags = [lag for lag in DEFAULT_LAGS if lag < s.width]
+    expected = {f"lag_{lag}": _reference_autocorrelation(s, lag) for lag in lags}
+    mean_abs = 0
+    for r in expected.values():
+        mean_abs += abs(r)
+    return expected, (mean_abs / len(lags) if lags else 0.0)
+
+
+def _dyadic_and_small(ones, width):
+    """Independent statement of when the per-bit sums are exact: ones/width
+    is a/2**e in lowest terms with width * 4**e <= 2**53."""
+    d = Fraction(ones, width).denominator
+    return d == 1 << (d.bit_length() - 1) and width * d * d <= 2**53
+
+
+@st.composite
+def _shaped_strings(draw, widths):
+    """Uniform strings, strings with a uniform ones count (biased), and
+    balanced strings, at one of ``widths``."""
+    width = draw(st.sampled_from(widths))
+    kind = draw(st.sampled_from(["random", "biased", "balanced"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return BitString(rng.getrandbits(width), width)
+    ones = rng.randint(0, width) if kind == "biased" else width // 2
+    return BitString(sum(1 << j for j in rng.sample(range(width), ones)), width)
+
+
+class TestExactSums:
+    """Where the per-bit float sums are exact, autocorrelation comes from
+    popcounts; it must still equal the per-bit loop bit for bit."""
+
+    def test_every_string_of_widths_1_to_14_equals_reference(self):
+        for width in range(1, 15):
+            for value in range(1 << width):
+                s = BitString(value, width)
+                for lag in range(width):
+                    assert autocorrelation(
+                        s, lag
+                    ).statistic == _reference_autocorrelation(s, lag)
+
+    def test_every_battery_of_widths_2_to_14_equals_reference(self):
+        # The chi-square test needs two bits, so the battery starts at 2.
+        for width in range(2, 15):
+            for value in range(1 << width):
+                s = BitString(value, width)
+                summary = _summary(run_battery(s))
+                expected, mean_abs = _reference_summary(s)
+                assert summary.auxiliary == expected
+                assert summary.statistic == mean_abs
+
+    @given(_shaped_strings((192, 224, 256)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_production_widths_equal_reference(self, s, data):
+        lag = data.draw(st.integers(0, s.width - 1), label="lag")
+        assert autocorrelation(s, lag).statistic == _reference_autocorrelation(s, lag)
+        summary = _summary(run_battery(s))
+        expected, mean_abs = _reference_summary(s)
+        assert summary.auxiliary == expected
+        assert summary.statistic == mean_abs
+
+    @given(_shaped_strings((1 << 16,)))
+    @settings(max_examples=3, deadline=None)
+    def test_width_65536_equals_reference(self, s):
+        summary = _summary(run_battery(s))
+        expected, mean_abs = _reference_summary(s)
+        assert summary.auxiliary == expected
+        assert summary.statistic == mean_abs
+
+    def test_condition_is_exactly_the_dyadic_bound(self):
+        # Beyond 2**17 bits the bound decides: at 2**19 bits with an odd
+        # ones count the per-bit partial sums round, and popcounts would
+        # give the exact rational instead.
+        for width in range(1, 300):
+            for ones in range(width + 1):
+                assert statbattery._exact_sums(ones, width) == _dyadic_and_small(
+                    ones, width
+                ), (ones, width)
+        for width in (1 << 17, 1 << 18, 3 << 16, 1 << 19, 1 << 20):
+            for ones in (0, 1, 2, 3, 4, 96, width // 2 - 1, width // 2, width):
+                assert statbattery._exact_sums(ones, width) == _dyadic_and_small(
+                    ones, width
+                ), (ones, width)
+
+    @pytest.mark.parametrize(
+        "width,ones,exact",
+        [
+            (192, 96, True), (192, 3, True), (192, 99, True), (192, 189, True),
+            (192, 95, False), (192, 97, False),
+            (224, 112, True), (224, 7, True), (224, 111, False),
+            (256, 1, True), (256, 127, True), (256, 128, True),
+            (1 << 16, 1, True), (1 << 17, 1, True), (1 << 18, 1, False),
+            (1 << 18, 2, True),
+        ],
+    )
+    def test_ordered_pass_runs_only_off_the_exact_path(
+        self, monkeypatch, width, ones, exact
+    ):
+        calls = []
+        centered = statbattery._centered
+
+        def spy(s):
+            calls.append(s)
+            return centered(s)
+
+        monkeypatch.setattr(statbattery, "_centered", spy)
+        s = BitString(((1 << ones) - 1) << (width - ones) // 2, width)
+        autocorrelation(s, 2)
+        statbattery._autocorrelation_summary(s)
+        assert calls == ([] if exact else [s, s])
 
 
 class TestCompression:
