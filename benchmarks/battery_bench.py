@@ -12,7 +12,15 @@ balanced string of even width takes the exact path.  Every timed result is
 compared with a per-bit reference: the list computation of the
 autocorrelation, adding its terms strictly in bit order, the length of the
 actual run-length + Elias-gamma encoding, and a bit-by-bit count of the
-runs.  Any difference is a bug, and the script exits non-zero.
+runs.  Any difference is a bug, and the script exits non-zero; so the
+popcount count of ``compression_ratio`` is checked against the encoder on
+every timed string.
+
+Warm, on a 2-vCPU x86-64 VM (CPython 3.11): ``compression_ratio`` takes
+2-4 us at 192-256 bits and 150-190 us at 100 000 bits (its regex pass took
+26-33 us and 11-12 ms); ``run_battery`` takes 25-45 us at 256 bits, 22-34
+on a balanced string (exact path) and about 210 on a random one (ordered
+path) at 192 and 224 bits.
 
 Run from the repository root:
 
@@ -37,7 +45,7 @@ TIMED_LAG = 2
 
 
 def reference_autocorrelation(s, lag):
-    bits = [(s.value >> (s.width - 1 - j)) & 1 for j in range(s.width)]
+    bits = [int(digit) for digit in str(s)]
     mean = sum(bits) / s.width
     denom = 0
     for b in bits:

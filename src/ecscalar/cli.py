@@ -29,7 +29,13 @@ from ecscalar.curve import (
     hasse_check,
     scalar_mul,
 )
-from ecscalar.de_opt import DEConfig, optimize, parse_mutation_factor, random_scalar
+from ecscalar.de_opt import (
+    DEConfig,
+    best_scalar,
+    optimize,
+    parse_mutation_factor,
+    random_scalar,
+)
 from ecscalar.modmath import format_hex, parse_hex
 from ecscalar.registry import (
     CurveFileError,
@@ -198,7 +204,7 @@ def _benchmark_trial(
     rows = []
     baseline = random_scalar(params, substream(master_seed, trial, 1))
     opt_config = config.replace(seed=substream_seed(master_seed, trial, 0))
-    optimized = optimize(opt_config, params).k_opt
+    optimized = best_scalar(opt_config, params)
     for source, scalar in (("random", baseline), ("optimized", optimized)):
         battery = run_battery(to_bits(scalar, width))
         by_name = {t.test_name: t for t in battery.tests}
@@ -333,7 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("generate", help="search for a high-entropy scalar")
     gen.add_argument("--curve", required=True)
-    gen.add_argument("--width", type=int, default=None, help="bit width override")
+    gen.add_argument(
+        "--width",
+        type=int,
+        default=None,
+        help="bit width override, from bit_length(n) to 2*bit_length(n)",
+    )
     gen.add_argument("--out", default=None, help="write the JSON report here")
     _add_de_flags(gen)
     gen.set_defaults(func=cmd_generate)

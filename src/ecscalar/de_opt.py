@@ -23,14 +23,15 @@ is what lets a generation build no trial at all for a parent already at
 the floor, the lowest imbalance any scalar in [1, n-1] has at this width:
 no trial could replace it, and leaving its substream undrawn changes no
 other slot.  The same floor is the early-stop target.  The search runs on
-plain ints; entropy is computed only where it is reported.
+plain ints; entropy is computed only where it is reported, and
+:func:`best_scalar`, which reports only k_opt, computes none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ecscalar import kernels
 from ecscalar._frozen import Frozen
@@ -48,6 +49,7 @@ __all__ = [
     "MAX_SLOT_GENERATIONS",
     "OptResult",
     "PopulationTooSmallError",
+    "best_scalar",
     "crossover",
     "initialize",
     "mutate",
@@ -155,7 +157,7 @@ class DEConfig(Frozen):
 
     def replace(self, **changes: object) -> DEConfig:
         """A copy with ``changes`` applied, validated like a new config."""
-        return DEConfig(**{**self.as_dict(), **changes})
+        return DEConfig(**{**dict(zip(self.__slots__, self._values())), **changes})
 
     def as_dict(self) -> dict:
         """Echo form used in manifests and config files; ``DEConfig(**echo)``
@@ -332,6 +334,32 @@ def _propose(
     return Individual(trial, width)
 
 
+def _survivors(
+    population: Sequence[Individual],
+    config: DEConfig,
+    n: int,
+    width: int,
+    generation: int,
+) -> Iterator[Individual]:
+    """Each slot's survivor of one generation, in slot order, built only when
+    the caller asks for it.
+
+    Every trial is built against a snapshot of the current population and
+    selected against its own parent.  A parent at the imbalance floor keeps
+    its slot without a trial (and without drawing its substream): strict
+    selection could never replace it, and the other slots read only the
+    snapshot.
+    """
+    snapshot = tuple(population)
+    floor = _imbalance_floor(n, width)
+    for i, parent in enumerate(snapshot):
+        if parent.imbalance > floor:
+            trial = _propose(snapshot, i, config, n, width, generation)
+            if trial is not None:
+                parent = select(parent, trial)
+        yield parent
+
+
 def step_generation(
     population: Sequence[Individual],
     config: DEConfig,
@@ -339,23 +367,8 @@ def step_generation(
     width: int,
     generation: int,
 ) -> list[Individual]:
-    """One synchronous DE generation: every trial is built against a snapshot
-    of the current population and selected against its own parent.
-
-    A parent at the imbalance floor keeps its slot without a trial (and
-    without drawing its substream): strict selection could never replace
-    it, and the other slots read only the snapshot.
-    """
-    snapshot = tuple(population)
-    floor = _imbalance_floor(n, width)
-    out = []
-    for i, parent in enumerate(snapshot):
-        if parent.imbalance > floor:
-            trial = _propose(snapshot, i, config, n, width, generation)
-            if trial is not None:
-                parent = select(parent, trial)
-        out.append(parent)
-    return out
+    """One synchronous DE generation: the survivor of every slot."""
+    return list(_survivors(population, config, n, width, generation))
 
 
 @lru_cache(maxsize=1024)
@@ -365,9 +378,18 @@ def _entropy(ones: int, width: int) -> float:
     return shannon_entropy(to_bits((1 << ones) - 1, width))
 
 
-def _stat(generation: int, population: Sequence[Individual]) -> GenerationStat:
-    fits = [_entropy(ind.scalar.bit_count(), ind.width) for ind in population]
+def _stat(generation: int, ones: Sequence[int], width: int) -> GenerationStat:
+    fits = [_entropy(count, width) for count in ones]
     return GenerationStat(generation, max(fits), ordered_sum(fits) / len(fits))
+
+
+def _first_best(
+    population: Sequence[Individual], ones: Sequence[int], width: int
+) -> Individual:
+    """The first individual of the lowest imbalance; ``ones`` holds their
+    ones counts."""
+    gaps = [abs(2 * count - width) for count in ones]
+    return population[gaps.index(min(gaps))]
 
 
 def optimize(
@@ -378,39 +400,41 @@ def optimize(
     """Run the full search and return the best scalar found.
 
     ``width`` defaults to bit_length(n), which makes every scalar in
-    [1, n-1] representable; overrides below that are rejected.  With
-    ``early_stop`` the loop exits as soon as some individual reaches the
-    maximal entropy any scalar in [1, n-1] has at this width (balance, or
-    one off it for odd widths, unless the width outruns the range's
-    largest ones count).
+    [1, n-1] representable; overrides below that, or above twice that, are
+    rejected.  With ``early_stop`` the loop exits as soon as some individual
+    reaches the maximal entropy any scalar in [1, n-1] has at this width
+    (balance, or one off it for odd widths, unless the width outruns the
+    range's largest ones count).
     """
     n = curve.n
-    w = width if width is not None else n.bit_length()
-    if w < n.bit_length():
+    bits = n.bit_length()
+    w = width if width is not None else bits
+    if not bits <= w <= 2 * bits:
         raise ValueError(
-            f"width {w} cannot represent scalars up to n-1 "
-            f"(need >= {n.bit_length()})"
+            f"width {w} must lie in [{bits}, {2 * bits}] for scalars up to n-1"
         )
-    target_imbalance = _imbalance_floor(n, w)
+    floor = _imbalance_floor(n, w)
+    # The ones counts of the scalars at the floor; w - floor is even.
+    floor_ones = {(w - floor) // 2, (w + floor) // 2}
 
     population = initialize(config, n, w)
-    history = [_stat(0, population)]
+    ones = [ind.scalar.bit_count() for ind in population]
+    history = [_stat(0, ones, w)]
     generations_run = 0
 
     def converged() -> bool:
-        return config.early_stop and any(
-            ind.imbalance == target_imbalance for ind in population
-        )
+        return config.early_stop and not floor_ones.isdisjoint(ones)
 
     if not converged():
         for t in range(1, config.max_generations + 1):
             population = step_generation(population, config, n, w, t)
+            ones = [ind.scalar.bit_count() for ind in population]
             generations_run = t
-            history.append(_stat(t, population))
+            history.append(_stat(t, ones, w))
             if converged():
                 break
 
-    best = min(population, key=lambda ind: ind.imbalance)
+    best = _first_best(population, ones, w)
     return OptResult(
         k_opt=best.scalar,
         best_entropy=_entropy(best.scalar.bit_count(), w),
@@ -418,3 +442,31 @@ def optimize(
         generations_run=generations_run,
         width=w,
     )
+
+
+def best_scalar(config: DEConfig, curve: CurveParams) -> int:
+    """``optimize(config, curve).k_opt``, without the history.
+
+    Under early stop the search ends at the first survivor at the imbalance
+    floor, in slot order.  No parent was at the floor when that generation
+    began, so that slot is the first minimum :func:`optimize` picks; the
+    later slots of the generation are never built.  Without early stop the
+    whole budget runs and the first minimum is returned, as there.
+    """
+    n = curve.n
+    w = n.bit_length()
+    population = initialize(config, n, w)
+    if config.early_stop:
+        floor = _imbalance_floor(n, w)
+        for t in range(config.max_generations + 1):
+            survivors = _survivors(population, config, n, w, t) if t else population
+            population = []
+            for ind in survivors:
+                if ind.imbalance == floor:
+                    return ind.scalar
+                population.append(ind)
+    else:
+        for t in range(1, config.max_generations + 1):
+            population = step_generation(population, config, n, w, t)
+    ones = [ind.scalar.bit_count() for ind in population]
+    return _first_best(population, ones, w).scalar

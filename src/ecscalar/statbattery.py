@@ -15,8 +15,8 @@ Every float sum in a report is defined as running strictly left to right
 in a fixed order (:func:`ordered_sum`), on every supported Python:
 ``sum()`` of floats uses compensated summation since Python 3.12, which
 would move some reported digits between interpreter versions.  The
-compression ratio works on whole strings at once (regex passes) and adds
-the same terms in the same order as a per-bit loop.
+compression ratio needs no float sum: its run count and gamma length are
+exact integers, taken from popcounts of whole-string words.
 
 Autocorrelation is the per-bit ordered sum of centered products, with two
 ways to get it.  When the mean ones/w reduces to a/2**e with w*4**e <= 2**53
@@ -367,16 +367,37 @@ def compression_ratio(s: BitString) -> TestReport:
     """Deterministic compressibility metric: emitted_bits / width under the
     run-length + Elias-gamma scheme of :func:`rle_gamma_encode`.  Highly
     structured input compresses well (low ratio); a random string does not.
+    Statistic only.
+
     The length is counted without encoding: one symbol bit, then
-    2*bit_length(m) - 1 bits per run of length m.  Statistic only."""
-    runs = re.findall(_RUN, str(s))
-    emitted = 1 + 2 * sum(map(int.bit_length, map(len, runs))) - len(runs)
+    2*bit_length(m) - 1 bits per run of length m.  Both sums come from
+    popcounts.  A run starts at every bit that differs from the bit above
+    it (and at the top bit), and sum bit_length(m) over the runs is
+    sum over k of #{runs of length >= 2**k}: the run starts that head a
+    window of 2**k equal bits.  Every count is an exact integer.
+    """
+    w = s.width
+    below_top = (1 << (w - 1)) - 1
+    changes = (s.value ^ (s.value >> 1)) & below_top  # bit i != bit i + 1
+    same = below_top & ~changes
+    starts = changes | (1 << (w - 1))
+    runs = starts.bit_count()
+    # Bit i of window is set when bits i down to i - span + 1 are all
+    # equal; each pass doubles span, joining two windows where they meet.
+    window = (1 << w) - 1
+    gamma_digits = 0
+    span = 1
+    while window:
+        gamma_digits += (starts & window).bit_count()
+        window &= (window & same) << span
+        span <<= 1
+    emitted = 1 + 2 * gamma_digits - runs
     return TestReport(
         "compression_ratio",
-        emitted / s.width,
+        emitted / w,
         None,
         True,
-        {"emitted_bits": float(emitted), "runs": float(len(runs))},
+        {"emitted_bits": float(emitted), "runs": float(runs)},
     )
 
 

@@ -18,7 +18,9 @@ from referencing.jsonschema import DRAFT7
 
 from ecscalar import cli, de_opt
 from ecscalar.cli import MAX_AUDIT_WIDTH, MAX_TRIALS, main
-from ecscalar.de_opt import MAX_GENERATIONS, MAX_POPULATION_SIZE
+from ecscalar.de_opt import MAX_GENERATIONS, MAX_POPULATION_SIZE, DEConfig
+from ecscalar.registry import load_builtin
+from ecscalar.rng import substream_seed
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -136,14 +138,34 @@ class TestGenerate:
         assert len(doc["k_opt"]) == 4  # 0x + 2 hex digits
 
     def test_width_beyond_the_range_stops_at_its_floor(self, capsys):
-        # Five ones is the most any scalar below 37 has, so at width 1000
-        # the run stops as soon as it holds one with five ones.
+        # Five ones is the most any scalar below 37 has, so at width 12,
+        # toy29's cap, the floor is 2 and the run stops as soon as it holds
+        # one with five ones.
         doc = _run_json(
-            capsys, "generate", "--curve", "toy29", "--width", "1000",
+            capsys, "generate", "--curve", "toy29", "--width", "12",
             "--seed", "1",
         )
         assert doc["generations_run"] == 0
         assert doc["ones"] == 5
+
+    @pytest.mark.parametrize("curve,width", [("toy29", 13), ("p256", 513)])
+    def test_width_above_twice_the_order_bits_exits_2(self, capsys, curve, width):
+        code, out, err = _run(
+            capsys, "generate", "--curve", curve, "--width", str(width),
+            "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"width {width} must lie in" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("width", [6, 12])
+    def test_width_at_either_end_of_the_range_is_accepted(self, capsys, width):
+        doc = _run_json(
+            capsys, "generate", "--curve", "toy29", "--width", str(width),
+            "--seed", "1",
+        )
+        assert doc["width"] == width
 
 
 class TestDeterminism:
@@ -195,6 +217,53 @@ class TestGoldenPins:
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
         assert digest.hexdigest() == (
             "1b568ee9b8018f26fabbc52cc84f53971a38dfa342f7df482ba84854f5a143ad")
+
+    @pytest.mark.parametrize(
+        "curve,trials,seed,flags,entered,csv_digest,summary_digest",
+        [
+            (
+                "toy29", 100, 7, ("--population-size", "4"), 26,
+                "5c7564a3cbe5bec3af23eac14a71aaf683bacfcf8ff27ea203bdf987fb5f81af",
+                "adf9250ce6d1e302d954221ebb1bccac5e0f4fdfefff51529693ee99e0439798",
+            ),
+            (
+                "toy29", 100, 7, ("--population-size", "4", "--no-early-stop"),
+                100,
+                "8232913d3c99245a0a597fc8f5d6a66f68455003fd11453809ce15f1c83c93c1",
+                "5e88024a9876603eaa407d307a55cd3bbcc466a888a27ff29ca4599369136b12",
+            ),
+            (
+                "p256", 50, 3, (), 4,
+                "74e45c9c92378dc6b276b8b8edc722c83c229aa9a1fedd193c736762987ffd39",
+                "0153b12ece923874106e9995d6f650791e95f45cbae76ddba9fe47aeb6520812",
+            ),
+        ],
+        ids=["toy29-early-stop", "toy29-full-budget", "p256"],
+    )
+    def test_benchmark_with_trials_that_enter_generations(
+        self, capsys, tmp_path, curve, trials, seed, flags, entered,
+        csv_digest, summary_digest,
+    ):
+        csv_path = tmp_path / "bench.csv"
+        doc = _run_json(
+            capsys, "benchmark", "--curve", curve, "--trials", str(trials),
+            "--seed", str(seed), "--out", str(csv_path),
+            *flags)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+        doc["manifest"].pop("timestamp")
+        doc.pop("csv")
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest() == summary_digest
+        # The pin covers the DE itself only if some trial runs a generation.
+        config = DEConfig(**doc["manifest"]["config"])
+        params = load_builtin(curve).params
+        generations = [
+            de_opt.optimize(
+                config.replace(seed=substream_seed(seed, trial, 0)), params
+            ).generations_run
+            for trial in range(trials)
+        ]
+        assert sum(g > 0 for g in generations) == entered
 
     def test_p192_benchmark_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "bench.csv"

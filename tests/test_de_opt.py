@@ -17,6 +17,7 @@ from ecscalar.de_opt import (
     DEConfig,
     Individual,
     PopulationTooSmallError,
+    best_scalar,
     crossover,
     initialize,
     mutate,
@@ -149,6 +150,26 @@ class TestConfigContract:
         with pytest.raises(ValueError) as copied:
             DEConfig(seed=3).replace(**kwargs)
         assert str(copied.value) == str(direct.value)
+
+    @pytest.mark.parametrize("factor", [Fraction(2, 3), "2/3", "0.75", 0.75])
+    def test_replace_keeps_an_exact_mutation_factor(self, factor):
+        base = DEConfig(seed=3, mutation_factor=factor)
+        copy = base.replace(seed=9)
+        assert copy.mutation_factor == base.mutation_factor
+        assert type(copy.mutation_factor) is Fraction
+        assert copy == DEConfig(**{**base.as_dict(), "seed": 9})
+
+    @pytest.mark.parametrize(
+        "factor,expected",
+        [(Fraction(1, 3), Fraction(1, 3)), ("5/7", Fraction(5, 7)),
+         (0.1, Fraction(1, 10))],
+        ids=["fraction", "str", "float"],
+    )
+    def test_replace_coerces_a_new_mutation_factor(self, factor, expected):
+        copy = DEConfig(seed=3).replace(mutation_factor=factor)
+        assert copy.mutation_factor == expected
+        assert type(copy.mutation_factor) is Fraction
+        assert copy == DEConfig(seed=3, mutation_factor=expected)
 
     def test_pickle_round_trip(self):
         config = DEConfig(seed=3, mutation_factor="2/3", early_stop=False)
@@ -533,6 +554,11 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(DEConfig(seed=1), p192, width=191)
 
+    def test_width_override_above_twice_the_order_bits_rejected(self, p192):
+        with pytest.raises(ValueError, match="width 385 must lie in"):
+            optimize(DEConfig(seed=1), p192, width=385)
+        assert optimize(DEConfig(seed=1, max_generations=1), p192, width=384).width == 384
+
     def test_equal_configs_give_equal_results(self, toy29):
         config = DEConfig(population_size=8, seed=5, early_stop=False,
                           max_generations=10)
@@ -548,6 +574,50 @@ class TestOptimize:
         assert len(pop) == config.population_size
         assert all(1 <= ind.scalar <= p192.n - 1 for ind in pop)
         assert all(ind.width == 192 for ind in pop)
+
+
+@st.composite
+def _best_scalar_cases(draw):
+    """toy29 at populations 4-8, where runs enter generations, and the NIST
+    curves at populations 4-10; early stop on and off, 1-30 generations."""
+    name = draw(st.sampled_from(["toy29", "p192", "p224", "p256"]))
+    population = draw(st.integers(4, 8 if name == "toy29" else 10))
+    config = DEConfig(
+        population_size=population,
+        max_generations=draw(st.integers(1, 30)),
+        early_stop=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return name, config
+
+
+class TestBestScalar:
+    @given(_best_scalar_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_optimizer_k_opt(self, case):
+        name, config = case
+        curve = load_builtin(name).params
+        assert best_scalar(config, curve) == optimize(config, curve).k_opt
+
+    def test_builds_no_slot_after_the_first_at_the_floor(self, toy29, monkeypatch):
+        # Seed 6 reaches the floor at slot 0 of generation 3; the optimizer
+        # still builds that generation's slots 1-3.
+        config = DEConfig(population_size=4, seed=6)
+        proposed = []
+        propose = de_opt._propose
+
+        def spy(scalars, i, config, n, width, generation):
+            proposed.append((generation, i))
+            return propose(scalars, i, config, n, width, generation)
+
+        monkeypatch.setattr(de_opt, "_propose", spy)
+        result = optimize(config, toy29)
+        full = proposed[:]
+        proposed.clear()
+        assert best_scalar(config, toy29) == result.k_opt
+        assert result.generations_run == 3
+        assert proposed == full[:len(proposed)]
+        assert full[len(proposed):] == [(3, 1), (3, 2), (3, 3)]
 
 
 class TestRandomScalar:

@@ -57,8 +57,9 @@ def _run_lengths(s):
 
 def _reference_autocorrelation(s, lag):
     """The per-bit list computation, adding every term strictly in bit order
-    (what ``sum()`` did before Python 3.12)."""
-    bits = [(s.value >> (s.width - 1 - j)) & 1 for j in range(s.width)]
+    (what ``sum()`` did before Python 3.12).  The bits are read from the
+    binary text, MSB first, which keeps the reference linear in the width."""
+    bits = [int(digit) for digit in str(s)]
     mean = sum(bits) / s.width
     denom = 0
     for b in bits:
@@ -74,7 +75,7 @@ def _reference_autocorrelation(s, lag):
 def _reference_rle_gamma_encode(s):
     """One bit at a time: the first bit, then per run of length m,
     bit_length(m) - 1 zeros followed by m in binary."""
-    bits = [(s.value >> (s.width - 1 - j)) & 1 for j in range(s.width)]
+    bits = [int(digit) for digit in str(s)]
     out = [bits[0]]
     run = 1
     for j in range(1, s.width + 1):
@@ -84,10 +85,7 @@ def _reference_rle_gamma_encode(s):
         out.extend([0] * (run.bit_length() - 1))
         out.extend((run >> i) & 1 for i in range(run.bit_length() - 1, -1, -1))
         run = 1
-    value = 0
-    for b in out:
-        value = (value << 1) | b
-    return BitString(value, len(out))
+    return BitString(int("".join(map(str, out)), 2), len(out))
 
 
 def _oracle_strings(seed):
@@ -509,6 +507,38 @@ class TestExactSums:
         assert calls == ([] if exact else [s, s])
 
 
+@st.composite
+def _run_shaped_strings(draw, widths):
+    """Random and biased strings as in :func:`_shaped_strings`, and strings
+    of long runs, whose lengths reach every gamma code length the width
+    allows."""
+    width = draw(st.sampled_from(widths))
+    if draw(st.booleans()):
+        return draw(_shaped_strings((width,)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    value = 0
+    pos = 0
+    bit = rng.getrandbits(1)
+    while pos < width:
+        length = min(1 << rng.randint(0, width.bit_length()), width - pos)
+        length = rng.randint((length + 1) // 2, length)
+        if bit:
+            value |= ((1 << length) - 1) << pos
+        pos += length
+        bit ^= 1
+    return BitString(value, width)
+
+
+def _assert_compression_counts(s):
+    """compression_ratio against the encoder and the per-bit reference."""
+    report = compression_ratio(s)
+    encoded = _reference_rle_gamma_encode(s)
+    assert rle_gamma_encode(s) == encoded
+    assert report.auxiliary["emitted_bits"] == encoded.width
+    assert report.auxiliary["runs"] == len(_run_lengths(s))
+    assert report.statistic == encoded.width / s.width
+
+
 class TestCompression:
     def test_all_zeros_256(self):
         report = compression_ratio(BitString(0, 256))
@@ -544,6 +574,21 @@ class TestCompression:
         assert report.auxiliary["emitted_bits"] == encoded_width
         assert report.auxiliary["runs"] == len(_run_lengths(s))
         assert report.statistic == encoded_width / s.width
+
+    def test_every_string_of_widths_1_to_16_matches_the_encoder(self):
+        for width in range(1, 17):
+            for value in range(1 << width):
+                _assert_compression_counts(BitString(value, width))
+
+    @given(_run_shaped_strings((192, 224, 256)))
+    @settings(max_examples=300, deadline=None)
+    def test_production_widths_match_the_encoder(self, s):
+        _assert_compression_counts(s)
+
+    @given(_run_shaped_strings((1 << 16,)))
+    @settings(max_examples=6, deadline=None)
+    def test_width_65536_matches_the_encoder(self, s):
+        _assert_compression_counts(s)
 
     @given(st.integers(min_value=1, max_value=200), st.data())
     @settings(max_examples=100, deadline=None)
