@@ -26,7 +26,8 @@ class BitString(Frozen):
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
         if not 0 <= value < (1 << width):
-            raise OverflowError(f"value {value} does not fit in {width} bits")
+            size = "negative" if value < 0 else f"{value.bit_length()}-bit"
+            raise OverflowError(f"{size} value does not fit in {width} bits")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "width", width)
 

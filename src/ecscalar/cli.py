@@ -120,6 +120,12 @@ def _build_config(args: argparse.Namespace) -> tuple[DEConfig, str]:
             except ValueError as exc:
                 raise ValueError(f"{args.config}: key {key!r}: {exc}") from None
 
+    if getattr(args, "mutation_factor", None) is not None:
+        try:  # here, not in argparse, so that a bad value is one stderr line
+            args.mutation_factor = parse_mutation_factor(args.mutation_factor)
+        except ValueError as exc:
+            raise ValueError(f"--mutation-factor: {exc}") from None
+
     merged: dict[str, Any] = {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -166,9 +172,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.width is None and args.curve is None:
         print("audit: need --width or --curve to fix the bit width", file=sys.stderr)
         return 2
-    if not 0.0 < args.alpha < 1.0:
-        print("audit: --alpha must lie strictly between 0 and 1", file=sys.stderr)
-        return 2
     if args.width is not None and args.width > MAX_AUDIT_WIDTH:
         print(f"audit: --width must be at most {MAX_AUDIT_WIDTH}", file=sys.stderr)
         return 2
@@ -179,7 +182,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     width = args.width if args.width is not None else entry.params.n.bit_length()
     scalar = parse_hex(args.scalar)
     bits = to_bits(scalar, width)  # OverflowError -> exit 2 in main()
-    battery = run_battery(bits, alpha=args.alpha)
+    battery = run_battery(bits)
     doc = rpt.battery_to_dict(battery)
     doc["manifest"] = rpt.build_manifest(
         "audit",
@@ -303,7 +306,6 @@ def _add_de_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mutation-factor",
         dest="mutation_factor",
-        type=parse_mutation_factor,
         default=None,
         help="rational, e.g. 4/5 or 0.8",
     )
@@ -353,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("scalar", help="hex scalar (0x prefix optional)")
     aud.add_argument("--curve", default=None)
     aud.add_argument("--width", type=int, default=None)
-    aud.add_argument(
-        "--alpha",
-        type=float,
-        default=0.01,
-        help="significance level for the verdicts (exploration only)",
-    )
     aud.add_argument("--out", default=None)
     aud.set_defaults(func=cmd_audit)
 

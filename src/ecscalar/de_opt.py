@@ -44,6 +44,7 @@ __all__ = [
     "DEConfig",
     "GenerationStat",
     "Individual",
+    "MAX_FACTOR_EXPONENT",
     "MAX_GENERATIONS",
     "MAX_POPULATION_SIZE",
     "MAX_SLOT_GENERATIONS",
@@ -78,6 +79,10 @@ MAX_GENERATIONS = 10_000
 # generations, early stop off) takes about 11 s and 24 MB RSS.
 MAX_SLOT_GENERATIONS = MAX_POPULATION_SIZE * 100
 
+# Largest decimal exponent, either sign, of a mutation factor: Python's own
+# int <-> str digit limit.  Fraction("1e30000000") takes about a minute.
+MAX_FACTOR_EXPONENT = 4300
+
 
 class PopulationTooSmallError(ValueError):
     """Mutation needs three distinct partners besides the target."""
@@ -88,13 +93,20 @@ def parse_mutation_factor(value: Fraction | str | float | int) -> Fraction:
 
     Strings accept both "4/5" and "0.8"; floats are read through their
     shortest decimal form, so 0.8 means exactly 4/5 rather than the nearest
-    binary double.  A zero denominator ("1/0") is a ValueError like any
-    other malformed factor.
+    binary double.  A zero denominator ("1/0"), or a decimal exponent beyond
+    ``MAX_FACTOR_EXPONENT`` either way, is a ValueError like any other
+    malformed factor.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
+    if isinstance(value, str):  # checked before Fraction builds 10**exponent
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-")
+        digits = exponent.replace("_", "").lstrip("0")[:5]  # any 5 digits exceed it
+        if digits.isdecimal() and int(digits) > MAX_FACTOR_EXPONENT:
+            bound = MAX_FACTOR_EXPONENT
+            raise ValueError(f"mutation factor exponent must be in [-{bound}, {bound}]")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -128,19 +140,13 @@ class DEConfig(Frozen):
     ) -> None:
         mutation_factor = parse_mutation_factor(mutation_factor)
         if not 4 <= population_size <= MAX_POPULATION_SIZE:
-            raise ValueError(
-                f"population_size must be in [4, {MAX_POPULATION_SIZE}], "
-                f"got {population_size}"
-            )
+            raise ValueError(f"population_size must be in [4, {MAX_POPULATION_SIZE}]")
         if not 0 < mutation_factor < 1:
-            raise ValueError(f"mutation_factor must be in (0, 1), got {mutation_factor}")
+            raise ValueError("mutation_factor must be in (0, 1)")
         if not 0.0 <= crossover_rate <= 1.0:
             raise ValueError(f"crossover_rate must be in [0, 1], got {crossover_rate}")
         if not 1 <= max_generations <= MAX_GENERATIONS:
-            raise ValueError(
-                f"max_generations must be in [1, {MAX_GENERATIONS}], "
-                f"got {max_generations}"
-            )
+            raise ValueError(f"max_generations must be in [1, {MAX_GENERATIONS}]")
         if population_size * max_generations > MAX_SLOT_GENERATIONS:
             raise ValueError(
                 "population_size * max_generations must be at most "
@@ -455,18 +461,15 @@ def best_scalar(config: DEConfig, curve: CurveParams) -> int:
     """
     n = curve.n
     w = n.bit_length()
+    # The imbalance that ends the search; no imbalance is negative.
+    stop = _imbalance_floor(n, w) if config.early_stop else -1
     population = initialize(config, n, w)
-    if config.early_stop:
-        floor = _imbalance_floor(n, w)
-        for t in range(config.max_generations + 1):
-            survivors = _survivors(population, config, n, w, t) if t else population
-            population = []
-            for ind in survivors:
-                if ind.imbalance == floor:
-                    return ind.scalar
-                population.append(ind)
-    else:
-        for t in range(1, config.max_generations + 1):
-            population = step_generation(population, config, n, w, t)
+    for t in range(config.max_generations + 1):
+        survivors = _survivors(population, config, n, w, t) if t else population
+        population = []
+        for ind in survivors:
+            if ind.imbalance == stop:
+                return ind.scalar
+            population.append(ind)
     ones = [ind.scalar.bit_count() for ind in population]
     return _first_best(population, ones, w).scalar

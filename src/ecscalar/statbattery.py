@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -97,9 +96,8 @@ def ordered_sum(values: Iterable[float]) -> float:
     return reduce(operator.add, values, 0)
 
 
-def erfc(x: float) -> float:
-    """Complementary error function (double precision, via libm)."""
-    return math.erfc(x)
+# Complementary error function (double precision, via libm).
+erfc = math.erfc
 
 
 _GAMMA_EPS = 1e-15
@@ -162,7 +160,7 @@ def chi2_sf(x: float, df: int) -> float:
     return _gamma_q_cf(a, half)
 
 
-def monobit_test(s: BitString, alpha: float = ALPHA) -> TestReport:
+def monobit_test(s: BitString) -> TestReport:
     """Frequency test: are ones and zeros near balance?
 
     s_obs = |ones - zeros| / sqrt(width) and p = erfc(s_obs / sqrt(2)).
@@ -174,10 +172,10 @@ def monobit_test(s: BitString, alpha: float = ALPHA) -> TestReport:
     aux = {"ones": float(ones), "zeros": float(zeros)}
     if s.width < RECOMMENDED_MIN_WIDTH:
         aux["below_recommended_width"] = 1.0
-    return TestReport("monobit", s_obs, p, p >= alpha, aux)
+    return TestReport("monobit", s_obs, p, p >= ALPHA, aux)
 
 
-def chi_square_bits(s: BitString, alpha: float = ALPHA) -> TestReport:
+def chi_square_bits(s: BitString) -> TestReport:
     """Two-category chi-square on the bit counts, one degree of freedom.
 
     chi2 = sum (o_i - e_i)^2 / e_i over {zeros, ones} with e_i = width/2;
@@ -194,12 +192,12 @@ def chi_square_bits(s: BitString, alpha: float = ALPHA) -> TestReport:
         "chi_square",
         stat,
         p,
-        p >= alpha,
+        p >= ALPHA,
         {"ones": float(ones), "zeros": float(zeros), "df": 1.0},
     )
 
 
-def runs_test(s: BitString, alpha: float = ALPHA) -> TestReport:
+def runs_test(s: BitString) -> TestReport:
     """SP 800-22 runs test: V = 1 + number of adjacent unequal bit pairs.
 
     The frequency prerequisite applies first — when the ones proportion pi
@@ -225,13 +223,11 @@ def runs_test(s: BitString, alpha: float = ALPHA) -> TestReport:
         abs(v_obs - 2.0 * w * pi * (1.0 - pi))
         / (2.0 * math.sqrt(2.0 * w) * pi * (1.0 - pi))
     )
-    return TestReport("runs", float(v_obs), p, p >= alpha, aux)
+    return TestReport("runs", float(v_obs), p, p >= ALPHA, aux)
 
 
 # Maps the ASCII digits of ``str(BitString)`` to the byte values 0 and 1.
 _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
-# A maximal run of equal bits.
-_RUN = "0+|1+"
 
 
 def _gather(table: tuple[float, ...], indices: bytes) -> tuple[float, ...]:
@@ -326,46 +322,11 @@ def autocorrelation(s: BitString, lag: int) -> TestReport:
     return TestReport("autocorrelation", rs[0], None, True, aux)
 
 
-def rle_gamma_encode(s: BitString) -> BitString:
-    """Run-length encode: 1 bit for the first run's value, then the
-    Elias-gamma code of each run length, concatenated MSB first."""
-    text = str(s)
-    codes = [text[0]]
-    for run in re.findall(_RUN, text):
-        m = format(len(run), "b")
-        codes.append("0" * (len(m) - 1))
-        codes.append(m)
-    encoded = "".join(codes)
-    return BitString(int(encoded, 2), len(encoded))
-
-
-def rle_gamma_decode(encoded: BitString, width: int) -> BitString:
-    """Inverse of :func:`rle_gamma_encode`; ``width`` is the original length."""
-    text = str(encoded)
-    symbol = text[0]
-    pos = 1
-    total = 0
-    runs: list[str] = []
-    while total < width:
-        one = text.find("1", pos)
-        end = 2 * one - pos + 1  # gamma code: z zeros, then z + 1 digits
-        if one < 0 or end > len(text):
-            raise ValueError("truncated run-length stream")
-        m = int(text[one:end], 2)
-        total += m
-        if total > width:
-            raise ValueError("run-length stream does not match the stated width")
-        runs.append(symbol * m)
-        symbol = "1" if symbol == "0" else "0"
-        pos = end
-    if total != width or pos != len(text):
-        raise ValueError("run-length stream does not match the stated width")
-    return BitString(int("".join(runs), 2), width)
-
-
 def compression_ratio(s: BitString) -> TestReport:
-    """Deterministic compressibility metric: emitted_bits / width under the
-    run-length + Elias-gamma scheme of :func:`rle_gamma_encode`.  Highly
+    """Deterministic compressibility metric: emitted_bits / width under a
+    run-length + Elias-gamma code.  The code is the string's first bit, then
+    for each maximal run of equal bits, MSB first, the Elias-gamma code of
+    its length m: bit_length(m) - 1 zeros followed by m in binary.  Highly
     structured input compresses well (low ratio); a random string does not.
     Statistic only.
 
@@ -419,21 +380,19 @@ def _autocorrelation_summary(s: BitString) -> TestReport:
     return TestReport("autocorrelation", mean_abs, None, True, aux)
 
 
-def run_battery(s: BitString, alpha: float = ALPHA) -> BatteryReport:
+def run_battery(s: BitString) -> BatteryReport:
     """Run every test in a fixed order and fold the verdicts.
 
     The overall verdict is the conjunction of the p-valued tests (monobit,
     chi-square, runs); entropy, autocorrelation and compression are reported
     as statistics.  The autocorrelation entry summarizes the default lags:
     its statistic is the mean |r| and the per-lag values sit in auxiliary.
-    ``alpha`` loosens or tightens the verdicts for exploration; 0.01 is the
-    reporting default.
     """
     reports = (
         _entropy_report(s),
-        monobit_test(s, alpha),
-        chi_square_bits(s, alpha),
-        runs_test(s, alpha),
+        monobit_test(s),
+        chi_square_bits(s),
+        runs_test(s),
         _autocorrelation_summary(s),
         compression_ratio(s),
     )

@@ -33,6 +33,13 @@ class TestToBits:
         with pytest.raises(OverflowError):
             to_bits(-1, 5)
 
+    def test_overflow_names_the_bit_length_not_the_value(self):
+        with pytest.raises(OverflowError) as info:
+            BitString((1 << 16000) - 1, 8)
+        assert str(info.value) == "16000-bit value does not fit in 8 bits"
+        with pytest.raises(OverflowError, match="^negative value does not fit"):
+            BitString(-1, 8)
+
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
             to_bits(0, 0)

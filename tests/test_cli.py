@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -341,16 +342,11 @@ class TestAudit:
         code, _, _ = _run(capsys, "audit", "--width", "4", "0x1f")
         assert code == 2
 
-    def test_alpha_override_loosens_verdict(self, capsys):
-        # 88/104 at width 192: monobit p ~ 0.248 passes at 0.01, fails at 0.5
-        scalar = "0x9c6786c6212db513501dd99840e73bb1a2168c652541eb1b"
-        strict = _run_json(
-            capsys, "audit", "--curve", "p192", "--alpha", "0.5", scalar)
-        default = _run_json(capsys, "audit", "--curve", "p192", scalar)
-        monobit_strict = [t for t in strict["tests"] if t["name"] == "monobit"][0]
-        monobit_default = [t for t in default["tests"] if t["name"] == "monobit"][0]
-        assert monobit_default["passed"] and not monobit_strict["passed"]
-        assert not strict["overall_pass"]
+    def test_scalar_far_too_wide_is_one_short_line(self, capsys):
+        # The error names the bit length, not the value (4817 decimal digits).
+        code, out, err = _run(capsys, "audit", "--width", "8", "0x" + "f" * 4000)
+        assert code == 2 and out == ""
+        assert err == "ecscalar: 16000-bit value does not fit in 8 bits\n"
 
     def test_width_above_cap_exits_2(self, capsys):
         code, out, err = _run(
@@ -362,10 +358,13 @@ class TestAudit:
         doc = _run_json(capsys, "audit", "--width", str(MAX_AUDIT_WIDTH), "0x1")
         assert doc["width"] == MAX_AUDIT_WIDTH
 
-    def test_alpha_out_of_range_exits_2(self, capsys):
-        code, _, err = _run(
-            capsys, "audit", "--width", "8", "--alpha", "1.5", "0x55")
-        assert code == 2 and "--alpha" in err
+    def test_alpha_is_an_unrecognized_argument(self, capsys):
+        # Every verdict is judged at statbattery.ALPHA; there is no flag.
+        code, out, err = _run(
+            capsys, "audit", "--width", "8", "--alpha", "0.5", "0x55")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --alpha" in err
+        assert "Traceback" not in err
 
 
 class TestBenchmark:
@@ -649,6 +648,40 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "--mutation-factor" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_mutation_factor_exponent_beyond_the_bound_exits_2(
+        self, capsys, tmp_path, route
+    ):
+        # Fraction alone would spend about a minute building 10**30000000.
+        argv = ["generate", "--curve", "toy29", "--seed", "1"]
+        if route == "flag":
+            argv += ["--mutation-factor", "1e30000000"]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text("mutation_factor = 1e30000000\n")
+            argv += ["--config", str(config)]
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "exponent must be in [-4300, 4300]" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_mutation_factor_out_of_range_is_one_short_line(
+        self, capsys, tmp_path, route
+    ):
+        argv = ["generate", "--curve", "toy29", "--seed", "1"]
+        if route == "flag":
+            argv += ["--mutation-factor", "1e400"]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text("mutation_factor = 1e400\n")
+            argv += ["--config", str(config)]
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "ecscalar: mutation_factor must be in (0, 1)\n"
 
     def test_population_over_the_cap_flag_exits_2(self, capsys):
         code, out, err = _run(

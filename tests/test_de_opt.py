@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ecscalar import de_opt, kernels
 from ecscalar.bitcodec import BitString, shannon_entropy, to_bits
 from ecscalar.de_opt import (
+    MAX_FACTOR_EXPONENT,
     MAX_GENERATIONS,
     MAX_POPULATION_SIZE,
     MAX_SLOT_GENERATIONS,
@@ -59,6 +60,21 @@ class TestConfig:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_mutation_factor("1/0")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4301", "1e-4301", "1E+4_301", "1e00004301", "0e30000000", "1e-30000000"],
+    )
+    def test_exponent_beyond_the_bound_is_rejected_before_parsing(self, text):
+        with pytest.raises(ValueError, match=r"exponent must be in \[-4300, 4300\]"):
+            parse_mutation_factor(text)
+
+    def test_exponent_at_the_bound_is_accepted(self):
+        assert MAX_FACTOR_EXPONENT == 4300
+        assert parse_mutation_factor("1e-4300") == Fraction(1, 10**4300)
+        assert parse_mutation_factor(" 1E+0_4300 ") == 10**4300
+        config = DEConfig(mutation_factor="1e-4300")
+        assert config.mutation_factor == Fraction(1, 10**4300)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -598,6 +614,25 @@ class TestBestScalar:
         name, config = case
         curve = load_builtin(name).params
         assert best_scalar(config, curve) == optimize(config, curve).k_opt
+
+    def test_without_early_stop_builds_the_optimizer_trials(
+        self, toy29, monkeypatch
+    ):
+        config = DEConfig(population_size=4, seed=6, early_stop=False)
+        proposed = []
+        propose = de_opt._propose
+
+        def spy(scalars, i, config, n, width, generation):
+            proposed.append((generation, i))
+            return propose(scalars, i, config, n, width, generation)
+
+        monkeypatch.setattr(de_opt, "_propose", spy)
+        k_opt = optimize(config, toy29).k_opt
+        full = list(proposed)
+        proposed.clear()
+        assert best_scalar(config, toy29) == k_opt
+        # By generation 7 every slot is at the floor; later ones build nothing.
+        assert proposed == full and full[-1][0] == 7
 
     def test_builds_no_slot_after_the_first_at_the_floor(self, toy29, monkeypatch):
         # Seed 6 reaches the floor at slot 0 of generation 3; the optimizer

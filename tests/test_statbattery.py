@@ -20,8 +20,6 @@ from ecscalar.statbattery import (
     erfc,
     monobit_test,
     ordered_sum,
-    rle_gamma_decode,
-    rle_gamma_encode,
     run_battery,
     runs_test,
 )
@@ -530,10 +528,9 @@ def _run_shaped_strings(draw, widths):
 
 
 def _assert_compression_counts(s):
-    """compression_ratio against the encoder and the per-bit reference."""
+    """compression_ratio against the per-bit encoder and run count."""
     report = compression_ratio(s)
     encoded = _reference_rle_gamma_encode(s)
-    assert rle_gamma_encode(s) == encoded
     assert report.auxiliary["emitted_bits"] == encoded.width
     assert report.auxiliary["runs"] == len(_run_lengths(s))
     assert report.statistic == encoded.width / s.width
@@ -570,7 +567,7 @@ class TestCompression:
     @settings(max_examples=150, deadline=None)
     def test_counts_match_the_encoder_exactly(self, s):
         report = compression_ratio(s)
-        encoded_width = rle_gamma_encode(s).width
+        encoded_width = _reference_rle_gamma_encode(s).width
         assert report.auxiliary["emitted_bits"] == encoded_width
         assert report.auxiliary["runs"] == len(_run_lengths(s))
         assert report.statistic == encoded_width / s.width
@@ -590,34 +587,8 @@ class TestCompression:
     def test_width_65536_matches_the_encoder(self, s):
         _assert_compression_counts(s)
 
-    @given(st.integers(min_value=1, max_value=200), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_encode_decode_roundtrip(self, width, data):
-        value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
-        s = BitString(value, width)
-        assert rle_gamma_decode(rle_gamma_encode(s), width) == s
-
-    @given(_bit_strings(max_width=600))
-    @settings(max_examples=150, deadline=None)
-    def test_encoder_matches_the_per_bit_reference(self, s):
-        assert rle_gamma_encode(s) == _reference_rle_gamma_encode(s)
-
-    def test_roundtrip_at_100000_bits(self):
-        s = _random_bits(100_000, 7)
-        encoded = rle_gamma_encode(s)
-        assert encoded.width == compression_ratio(s).auxiliary["emitted_bits"]
-        assert rle_gamma_decode(encoded, s.width) == s
-
-    @pytest.mark.parametrize(
-        "cut, width_delta, message",
-        [(1, 0, "truncated"), (0, 1, "truncated"), (0, -1, "does not match")],
-    )
-    def test_decode_rejects_a_damaged_stream(self, cut, width_delta, message):
-        s = _random_bits(300, 3)
-        encoded = rle_gamma_encode(s)
-        damaged = BitString(encoded.value >> cut, encoded.width - cut)
-        with pytest.raises(ValueError, match=message):
-            rle_gamma_decode(damaged, s.width + width_delta)
+    def test_counts_at_100000_bits_match_the_encoder(self):
+        _assert_compression_counts(_random_bits(100_000, 7))
 
 
 class TestBattery:
