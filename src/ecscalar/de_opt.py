@@ -22,8 +22,9 @@ the run seed, which makes results independent of evaluation order.  That
 is what lets a generation build no trial at all for a parent already at
 the floor, the lowest imbalance any scalar in [1, n-1] has at this width:
 no trial could replace it, and leaving its substream undrawn changes no
-other slot.  The same floor is the early-stop target.  The search runs on
-plain ints; entropy is computed only where it is reported, and
+other slot.  The same floor is the early-stop target.  Individuals are
+``Individual(scalar, width)`` records and are compared on their exact
+imbalance; entropy is computed only where it is reported, and
 :func:`best_scalar`, which reports only k_opt, computes none.
 """
 
@@ -57,7 +58,6 @@ __all__ = [
     "optimize",
     "parse_mutation_factor",
     "random_scalar",
-    "select",
     "step_generation",
 ]
 
@@ -82,6 +82,9 @@ MAX_SLOT_GENERATIONS = MAX_POPULATION_SIZE * 100
 # Largest decimal exponent, either sign, of a mutation factor: Python's own
 # int <-> str digit limit.  Fraction("1e30000000") takes about a minute.
 MAX_FACTOR_EXPONENT = 4300
+
+# Smallest denominator with more digits than str() of an int may print.
+_UNECHOABLE_DENOMINATOR = 10**MAX_FACTOR_EXPONENT
 
 
 class PopulationTooSmallError(ValueError):
@@ -143,6 +146,9 @@ class DEConfig(Frozen):
             raise ValueError(f"population_size must be in [4, {MAX_POPULATION_SIZE}]")
         if not 0 < mutation_factor < 1:
             raise ValueError("mutation_factor must be in (0, 1)")
+        # In (0, 1) the numerator is below the denominator: this bounds both.
+        if mutation_factor.denominator >= _UNECHOABLE_DENOMINATOR:
+            raise ValueError(f"mutation_factor has over {MAX_FACTOR_EXPONENT} digits")
         if not 0.0 <= crossover_rate <= 1.0:
             raise ValueError(f"crossover_rate must be in [0, 1], got {crossover_rate}")
         if not 1 <= max_generations <= MAX_GENERATIONS:
@@ -302,15 +308,6 @@ def crossover(
     return (mutant & mask) | (target & ~mask)
 
 
-def select(parent: Individual, trial: Individual) -> Individual:
-    """Greedy selection; the trial must be strictly better, ties keep the
-    parent.  Compared on exact integer imbalance, which orders entropies
-    without touching floats."""
-    if parent.width != trial.width:
-        raise ValueError("cannot compare individuals of different widths")
-    return trial if trial.imbalance < parent.imbalance else parent
-
-
 def _imbalance_floor(n: int, width: int) -> int:
     """Lowest |ones - zeros| of any scalar in [1, n-1] at ``width`` bits.
 
@@ -323,23 +320,6 @@ def _imbalance_floor(n: int, width: int) -> int:
     return max(width % 2, width - 2 * most_ones)
 
 
-def _propose(
-    scalars: Sequence[Individual],
-    i: int,
-    config: DEConfig,
-    n: int,
-    width: int,
-    generation: int,
-) -> Individual | None:
-    """Trial for slot i, or None when it falls outside [1, n-1]."""
-    stream = substream(config.seed, generation, i)
-    v = mutate(scalars, i, config.mutation_factor, n, stream)
-    trial = crossover(scalars[i].scalar, v, width, config.crossover_rate, stream)
-    if not 1 <= trial <= n - 1:
-        return None
-    return Individual(trial, width)
-
-
 def _survivors(
     population: Sequence[Individual],
     config: DEConfig,
@@ -348,21 +328,25 @@ def _survivors(
     generation: int,
 ) -> Iterator[Individual]:
     """Each slot's survivor of one generation, in slot order, built only when
-    the caller asks for it.
+    the caller asks for it: the search's one proposal loop.
 
-    Every trial is built against a snapshot of the current population and
-    selected against its own parent.  A parent at the imbalance floor keeps
-    its slot without a trial (and without drawing its substream): strict
-    selection could never replace it, and the other slots read only the
-    snapshot.
+    Slot i's trial is drawn from substream (seed, generation, i) against a
+    snapshot of the current population, and replaces its parent only when
+    it lies in [1, n-1] and is strictly less imbalanced.  A parent at the
+    imbalance floor keeps its slot without a trial (and without drawing its
+    substream): no trial could replace it, and the other slots read only
+    the snapshot.
     """
     snapshot = tuple(population)
     floor = _imbalance_floor(n, width)
     for i, parent in enumerate(snapshot):
-        if parent.imbalance > floor:
-            trial = _propose(snapshot, i, config, n, width, generation)
-            if trial is not None:
-                parent = select(parent, trial)
+        imbalance = parent.imbalance
+        if imbalance > floor:
+            stream = substream(config.seed, generation, i)
+            v = mutate(snapshot, i, config.mutation_factor, n, stream)
+            trial = crossover(parent.scalar, v, width, config.crossover_rate, stream)
+            if 1 <= trial < n and abs(2 * trial.bit_count() - width) < imbalance:
+                parent = Individual(trial, width)
         yield parent
 
 
@@ -423,29 +407,23 @@ def optimize(
     # The ones counts of the scalars at the floor; w - floor is even.
     floor_ones = {(w - floor) // 2, (w + floor) // 2}
 
+    # Generation 0 is the initial population; each later one is a step.
     population = initialize(config, n, w)
-    ones = [ind.scalar.bit_count() for ind in population]
-    history = [_stat(0, ones, w)]
-    generations_run = 0
-
-    def converged() -> bool:
-        return config.early_stop and not floor_ones.isdisjoint(ones)
-
-    if not converged():
-        for t in range(1, config.max_generations + 1):
+    history = []
+    for t in range(config.max_generations + 1):
+        if t:
             population = step_generation(population, config, n, w, t)
-            ones = [ind.scalar.bit_count() for ind in population]
-            generations_run = t
-            history.append(_stat(t, ones, w))
-            if converged():
-                break
+        ones = [ind.scalar.bit_count() for ind in population]
+        history.append(_stat(t, ones, w))
+        if config.early_stop and not floor_ones.isdisjoint(ones):
+            break
 
     best = _first_best(population, ones, w)
     return OptResult(
         k_opt=best.scalar,
         best_entropy=_entropy(best.scalar.bit_count(), w),
         history=tuple(history),
-        generations_run=generations_run,
+        generations_run=len(history) - 1,
         width=w,
     )
 

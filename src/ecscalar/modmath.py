@@ -22,23 +22,31 @@ __all__ = [
     "parse_hex",
 ]
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 def parse_hex(text: str) -> int:
     """Parse an unsigned hex string into an int.
 
     Accepts an optional ``0x``/``0X`` prefix and upper- or lower-case digits.
     Internal whitespace is stripped (published parameter tables are often
-    line-wrapped mid-value).  Anything else is rejected.
+    line-wrapped mid-value).  Anything else is rejected; the error names
+    the bad character and its offset in ``text``, never the whole input.
     """
     compact = "".join(text.split())
-    if compact[:2].lower() == "0x":
-        compact = compact[2:]
-    if not compact:
-        raise ValueError(f"empty hex value: {text!r}")
-    for c in compact:
-        if c not in "0123456789abcdefABCDEF":
-            raise ValueError(f"invalid hex digit {c!r} in {text!r}")
-    return int(compact, 16)
+    digits = compact[2:] if compact[:2].lower() == "0x" else compact
+    if not digits:
+        raise ValueError("empty hex value")
+    if not _HEX_DIGITS.issuperset(digits):
+        prefix = len(compact) - len(digits)
+        for offset, c in enumerate(text):
+            if c.isspace():
+                continue
+            if prefix:
+                prefix -= 1
+            elif c not in _HEX_DIGITS:
+                raise ValueError(f"invalid hex digit {c!r} at offset {offset}")
+    return int(digits, 16)
 
 
 def format_hex(value: int, width: int | None = None) -> str:

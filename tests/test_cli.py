@@ -348,6 +348,15 @@ class TestAudit:
         assert code == 2 and out == ""
         assert err == "ecscalar: 16000-bit value does not fit in 8 bits\n"
 
+    def test_bad_hex_digit_is_one_short_line(self, capsys):
+        # The error names the digit and its offset, not the 4000 digits.
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "audit", "--width", "8", "0x" + "f" * 4000 + "z")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "ecscalar: invalid hex digit 'z' at offset 4002\n"
+        assert len(err.encode()) < 200
+
     def test_width_above_cap_exits_2(self, capsys):
         code, out, err = _run(
             capsys, "audit", "--width", str(MAX_AUDIT_WIDTH + 1), "0x1")
@@ -682,6 +691,30 @@ class TestUsage:
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "ecscalar: mutation_factor must be in (0, 1)\n"
+
+    @pytest.mark.parametrize("factor", ["1e-4300", "0.0000001e-4299"])
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_mutation_factor_too_long_to_echo_exits_2_before_the_run(
+        self, capsys, tmp_path, route, command, factor
+    ):
+        # The manifest could not print this factor, so no run starts.
+        csv_path = tmp_path / "rows.csv"
+        argv = [command, "--curve", "toy29", "--seed", "1"]
+        if command == "benchmark":
+            argv += ["--out", str(csv_path)]
+        if route == "flag":
+            argv += ["--mutation-factor", factor]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"mutation_factor = {factor}\n")
+            argv += ["--config", str(config)]
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "ecscalar: mutation_factor has over 4300 digits\n"
+        assert not csv_path.exists()
 
     def test_population_over_the_cap_flag_exits_2(self, capsys):
         code, out, err = _run(

@@ -25,7 +25,6 @@ from ecscalar.de_opt import (
     optimize,
     parse_mutation_factor,
     random_scalar,
-    select,
     step_generation,
 )
 from ecscalar.registry import builtin_names, load_builtin
@@ -73,8 +72,21 @@ class TestConfig:
         assert MAX_FACTOR_EXPONENT == 4300
         assert parse_mutation_factor("1e-4300") == Fraction(1, 10**4300)
         assert parse_mutation_factor(" 1E+0_4300 ") == 10**4300
-        config = DEConfig(mutation_factor="1e-4300")
-        assert config.mutation_factor == Fraction(1, 10**4300)
+        config = DEConfig(mutation_factor="1e-4299")
+        assert config.mutation_factor == Fraction(1, 10**4299)
+
+    @pytest.mark.parametrize(
+        "factor",
+        ["1e-4300", "0.5e-4300", "0.0000001e-4299", Fraction(1, 10**4300 + 1)],
+    )
+    def test_factor_too_long_to_echo_rejected(self, factor):
+        with pytest.raises(ValueError, match="mutation_factor has over 4300 digits"):
+            DEConfig(mutation_factor=factor)
+
+    def test_longest_echoable_factor_accepted(self):
+        factor = Fraction(10**4299, 10**4300 - 1)  # both terms of 4300 digits
+        config = DEConfig(mutation_factor=factor)
+        assert DEConfig(**config.as_dict()) == config
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -372,21 +384,6 @@ class TestCrossover:
 
 
 class TestSelect:
-    def test_strict_improvement_wins(self):
-        parent = Individual(0b111100, 6)  # imbalance 2
-        trial = Individual(0b111000, 6)  # imbalance 0
-        assert select(parent, trial) is trial
-
-    def test_tie_keeps_parent(self):
-        parent = Individual(0b111000, 6)
-        trial = Individual(0b000111, 6)
-        assert select(parent, trial) is parent
-
-    def test_worse_trial_loses(self):
-        parent = Individual(0b111000, 6)
-        trial = Individual(0b111110, 6)
-        assert select(parent, trial) is parent
-
     def test_integer_comparison_equals_float_comparison_exhaustively(self):
         # For every width <= 24 and every ones-count pair, the imbalance
         # ordering must reproduce the strict entropy comparison.
@@ -435,15 +432,17 @@ class TestStepGeneration:
 
 def _step_proposing_every_slot(population, config, n, width, generation):
     """Reference generation that builds a trial for every slot, parents at
-    the floor included, from the public operators."""
+    the floor included, from the public operators: a trial in [1, n-1]
+    replaces its parent only when strictly less imbalanced."""
     snapshot = tuple(population)
     out = []
     for i, parent in enumerate(snapshot):
         stream = substream(config.seed, generation, i)
         v = mutate(snapshot, i, config.mutation_factor, n, stream)
-        trial = crossover(parent.scalar, v, width, config.crossover_rate, stream)
-        if 1 <= trial <= n - 1:
-            parent = select(parent, Individual(trial, width))
+        trial = Individual(
+            crossover(parent.scalar, v, width, config.crossover_rate, stream), width)
+        if 1 <= trial.scalar <= n - 1 and trial.imbalance < parent.imbalance:
+            parent = trial
         out.append(parent)
     return out
 
@@ -607,6 +606,25 @@ def _best_scalar_cases(draw):
     return name, config
 
 
+def _record_trials(monkeypatch):
+    """The (generation, slot) of every trial that crossover builds, in order,
+    read from the substream the trial draws from."""
+    built, latest = [], []
+    real_substream, real_crossover = de_opt.substream, de_opt.crossover
+
+    def recording_substream(seed, generation, i):
+        latest[:] = [(generation, i)]
+        return real_substream(seed, generation, i)
+
+    def spy(*args):
+        built.append(latest[0])
+        return real_crossover(*args)
+
+    monkeypatch.setattr(de_opt, "substream", recording_substream)
+    monkeypatch.setattr(de_opt, "crossover", spy)
+    return built
+
+
 class TestBestScalar:
     @given(_best_scalar_cases())
     @settings(max_examples=150, deadline=None)
@@ -619,14 +637,7 @@ class TestBestScalar:
         self, toy29, monkeypatch
     ):
         config = DEConfig(population_size=4, seed=6, early_stop=False)
-        proposed = []
-        propose = de_opt._propose
-
-        def spy(scalars, i, config, n, width, generation):
-            proposed.append((generation, i))
-            return propose(scalars, i, config, n, width, generation)
-
-        monkeypatch.setattr(de_opt, "_propose", spy)
+        proposed = _record_trials(monkeypatch)
         k_opt = optimize(config, toy29).k_opt
         full = list(proposed)
         proposed.clear()
@@ -638,14 +649,7 @@ class TestBestScalar:
         # Seed 6 reaches the floor at slot 0 of generation 3; the optimizer
         # still builds that generation's slots 1-3.
         config = DEConfig(population_size=4, seed=6)
-        proposed = []
-        propose = de_opt._propose
-
-        def spy(scalars, i, config, n, width, generation):
-            proposed.append((generation, i))
-            return propose(scalars, i, config, n, width, generation)
-
-        monkeypatch.setattr(de_opt, "_propose", spy)
+        proposed = _record_trials(monkeypatch)
         result = optimize(config, toy29)
         full = proposed[:]
         proposed.clear()

@@ -140,6 +140,13 @@ class TestCurveFiles:
         with pytest.raises(CurveFileError, match="'gy'"):
             load_file(path)
 
+    def test_bad_hex_names_file_key_and_offset_only(self, tmp_path):
+        path = _toy_file(tmp_path, gy="0x" + "7" * 4000 + "g")
+        with pytest.raises(CurveFileError) as info:
+            load_file(path)
+        assert str(info.value) == (
+            f"{path}: key 'gy': invalid hex digit 'g' at offset 4002")
+
     def test_missing_key_reported(self, tmp_path):
         path = tmp_path / "missing.curve"
         path.write_text("name = x\np = 0x1d\n")
