@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from functools import lru_cache
+from typing import Any, NoReturn
 
 from ecscalar import report as rpt
 from ecscalar.bitcodec import to_bits
@@ -61,6 +62,10 @@ MAX_TRIALS = 10_000
 # Largest accepted ``audit --width``: the battery at 2**16 bits takes about
 # 0.07 s and writes about 100 KB of JSON, most of it the echoed scalar.
 MAX_AUDIT_WIDTH = 1 << 16
+
+# Longest usage-error line, newline included: a hostile value (a
+# 5000-digit --population-size, say) is cut short rather than echoed whole.
+MAX_ERROR_BYTES = 200
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
@@ -332,8 +337,28 @@ def _add_de_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _error_line(message: str) -> str:
+    """``ecscalar: <message>`` as one stderr line of at most
+    ``MAX_ERROR_BYTES`` bytes, newline included: a long echoed value is cut
+    short and marked with "..."."""
+    line = f"ecscalar: {message}".replace("\n", " ")
+    raw = line.encode("utf-8", "backslashreplace")
+    if len(raw) < MAX_ERROR_BYTES:
+        return line
+    return raw[: MAX_ERROR_BYTES - 4].decode("utf-8", "ignore") + "..."
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one short stderr line."""
+
+    def error(self, message: str) -> NoReturn:
+        print(_error_line(message), file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A fresh parser for the four subcommands."""
+    parser = _Parser(
         prog="ecscalar",
         description="Generate and audit high-entropy elliptic-curve scalars.",
     )
@@ -349,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--out", default=None, help="write the JSON report here")
     _add_de_flags(gen)
-    gen.set_defaults(func=cmd_generate)
 
     aud = commands.add_parser("audit", help="run the randomness battery")
     aud.add_argument("scalar", help="hex scalar (0x prefix optional)")
     aud.add_argument("--curve", default=None)
     aud.add_argument("--width", type=int, default=None)
     aud.add_argument("--out", default=None)
-    aud.set_defaults(func=cmd_audit)
 
     ben = commands.add_parser(
         "benchmark", help="optimized vs. random scalars, CSV + JSON summary"
@@ -368,21 +391,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary-out", dest="summary_out", default=None, help="JSON summary path"
     )
     _add_de_flags(ben)
-    ben.set_defaults(func=cmd_benchmark)
 
     enu = commands.add_parser("enumerate", help="list all points of a small curve")
     enu.add_argument("--curve", required=True)
     enu.add_argument("--format", choices=("json", "csv"), default="json")
     enu.add_argument("--out", default=None)
-    enu.set_defaults(func=cmd_enumerate)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building one costs about a millisecond,
+    and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code in (0, None) else int(exc.code)
 
@@ -393,13 +420,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.command}: --workers must be >= 1", file=sys.stderr)
         return 2
 
-    try:
-        return args.func(args)
+    try:  # looked up per call, so a replaced handler is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (RegistryValidationError, FieldTooLargeError) as exc:
         print(f"ecscalar: validation failure: {exc}", file=sys.stderr)
         return 3
     except (UnknownCurveError, CurveFileError, OverflowError, ValueError) as exc:
-        print(f"ecscalar: {exc}", file=sys.stderr)
+        print(_error_line(str(exc)), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"ecscalar: cannot write output: {exc}", file=sys.stderr)

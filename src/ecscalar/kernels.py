@@ -15,11 +15,11 @@ and checks them against stand-alone per-draw SplitMix64 loops.
   order, with no short-circuiting.  Draw j lives in lane j; the comparison
   draw <= thr becomes a guard-bit subtraction, and the guard bits are
   gathered MSB-first into the mask with one base-2 parse.
-* ``_first_draws`` gives the first ``next_bits(bits)`` draw of every
-  substream of one generation, in two passes over one lane per word of
-  every draw: the first mixes substream i's seed mix64(prefix + (i+1)*gamma)
-  out of the generation's shared prefix into each of its draw's lanes, the
-  second every u64 word of every first draw.
+* ``_first_draws`` gives the first ``next_bits(bits)`` draw of a run of
+  consecutive substreams of one generation, in two passes over one lane per
+  word of every draw: the first mixes substream i's seed
+  mix64(prefix + (i+1)*gamma) out of the generation's shared prefix into
+  each of its draw's lanes, the second every u64 word of every first draw.
 """
 
 from __future__ import annotations
@@ -112,8 +112,11 @@ def crossover_fill(
     return mask | (1 << (width - 1 - j_rand)), new_state
 
 
-def _first_draws(seed: int, generation: int, count: int, bits: int) -> list[int]:
-    """``substream(seed, generation, i).next_bits(bits)`` for i < ``count``.
+def _first_draws(
+    seed: int, generation: int, count: int, bits: int, start: int = 0
+) -> list[int]:
+    """``substream(seed, generation, i).next_bits(bits)`` for i in
+    [``start``, ``start + count``).
 
     Each value is the first draw of its substream, whether or not a caller
     then rejects it; a caller that needs more draws of substream i derives
@@ -122,7 +125,10 @@ def _first_draws(seed: int, generation: int, count: int, bits: int) -> list[int]
     words = (bits + 63) // 64
     ones, _, low, _ = _lanes(count * words)
     seed_ramp, word_ramp = _draw_ramps(count, words)
-    seeds = _mix_lanes(_substream_prefix(seed, generation) * ones + seed_ramp, low)
+    # Substream start+i's seed is mix64(prefix + (start+i+1)*gamma): that of
+    # substream i under a prefix start*gamma further on.
+    prefix = (_substream_prefix(seed, generation) + start * GOLDEN_GAMMA) & MASK64
+    seeds = _mix_lanes(prefix * ones + seed_ramp, low)
     raw = _mix_lanes(seeds + word_ramp, low).to_bytes(16 * count * words, "little")
     # Keep the 8 value bytes of every lane: substream i's words, least
     # significant first, become bytes [8*words*i, 8*words*(i+1)).

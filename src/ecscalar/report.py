@@ -10,9 +10,8 @@ timestamp.  Schemas live in docs/schemas/.
 
 from __future__ import annotations
 
-import csv
 import json
-from datetime import datetime, timezone
+import time
 from typing import IO, Any
 
 from ecscalar import __version__
@@ -63,7 +62,7 @@ def build_manifest(
         "command": command,
         "curve": curve_name,
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "inputs": inputs,
     }
     if config is not None:
@@ -121,6 +120,8 @@ def dump_json(obj: Any, stream: IO[str]) -> None:
 
 
 def write_benchmark_csv(rows: list[dict[str, Any]], stream: IO[str]) -> None:
+    import csv  # only benchmark writes CSV; kept off the other commands' import
+
     writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)

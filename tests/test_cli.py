@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
 from ecscalar import cli, de_opt
-from ecscalar.cli import MAX_AUDIT_WIDTH, MAX_TRIALS, main
+from ecscalar.cli import MAX_AUDIT_WIDTH, MAX_ERROR_BYTES, MAX_TRIALS, main
 from ecscalar.de_opt import MAX_GENERATIONS, MAX_POPULATION_SIZE, DEConfig
 from ecscalar.registry import load_builtin
 from ecscalar.rng import substream_seed
@@ -635,9 +636,93 @@ def _generations_argv(tmp_path, route, population, generations):
     return argv
 
 
+def _around(*caps):
+    return [str(cap + step) for cap in caps for step in (-1, 0, 1)]
+
+
+# Hostile values for every numeric flag: signs, NaN, infinities, other
+# bases, and integers too long for int() (over 4300 digits) or just short.
+_HOSTILE = [
+    "-1", "-99", "nan", "NaN", "inf", "-inf", "1e999", "0x10", "", " 7 ",
+    "1_000", "9" * 4000, "9" * 5000, "1" * 5000,
+]
+_GENERATE = ["generate", "--curve", "toy29", "--seed", "1"]
+# (argv before the flag, flag, its parse, its accepted range, extra values)
+_NUMERIC_FLAGS = [
+    (_GENERATE, "--population-size", int, (4, MAX_POPULATION_SIZE), []),
+    (_GENERATE, "--max-generations", int, (1, MAX_GENERATIONS), []),
+    (_GENERATE, "--width", int, (6, 12), []),  # toy29: 6 to 2*6 bits
+    (_GENERATE, "--crossover-rate", float, (0, 1),
+     ["0.0", "-0.0", "1.0", "1.0000001", "0.9", "5e-324", "-1e-9"]),
+    (["benchmark", "--curve", "toy29", "--out", "unused.csv"], "--trials", int,
+     (1, MAX_TRIALS), []),
+    (["audit", "0x1"], "--width", int, (1, MAX_AUDIT_WIDTH), []),
+]
+
+
+@st.composite
+def _numeric_flag_calls(draw):
+    head, flag, parse, (low, high), extra = draw(st.sampled_from(_NUMERIC_FLAGS))
+    value = draw(st.one_of(
+        st.sampled_from(_around(low, high) + _HOSTILE + extra),
+        st.integers(-3 * high, 3 * high).map(str),
+        st.floats().map(repr) if parse is float else st.nothing(),
+    ))
+    try:
+        accepted = low <= parse(value) <= high
+    except ValueError:
+        accepted = False
+    return [*head, f"{flag}={value}"], accepted
+
+
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value,start",
+        [
+            ("--population-size", "1" * 5000,
+             "argument --population-size: invalid int value: '111"),
+            ("--width", "9" * 4000, "width 999"),
+        ],
+        ids=["argparse-echo", "program-echo"],
+    )
+    def test_hostile_value_is_cut_short_in_one_line(
+        self, capsys, flag, value, start
+    ):
+        code, out, err = _run(capsys, "generate", "--curve", "p256", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("ecscalar: " + start)
+        assert err.endswith("...\n") and err.count("\n") == 1
+        assert len(err.encode()) <= MAX_ERROR_BYTES
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(call=_numeric_flag_calls())
+    def test_numeric_flags_pass_or_exit_2_in_one_short_line(
+        self, monkeypatch, call
+    ):
+        # Validation only: the stubs stand in for the search and the trials;
+        # optimize still checks the width.
+        argv, accepted = call
+        monkeypatch.setattr(cli, "cmd_benchmark", lambda args: 0)
+        monkeypatch.setattr(
+            cli, "optimize", lambda config, params, width=None: de_opt.optimize(
+                config.replace(max_generations=1), params, width))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        if accepted:
+            assert (code, err.getvalue()) == (0, "")
+        else:
+            line = err.getvalue()
+            assert code == 2 and out.getvalue() == ""
+            assert line.count("\n") == 1 and line.endswith("\n")
+            assert len(line.encode()) <= MAX_ERROR_BYTES
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
@@ -797,12 +882,14 @@ def test_import_leaves_unused_modules_unloaded():
     # secrets serves only seedless runs, and nothing uses threads; neither
     # belongs on every command's import path.  Nor does dataclasses: it
     # pulls in inspect, ast, dis and tokenize, which nothing else loads,
-    # and execs generated methods for every decorated class.
+    # and execs generated methods for every decorated class.  csv serves
+    # only benchmark, and the manifest timestamp needs no datetime.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     unused = (
         "secrets", "concurrent.futures",
         "dataclasses", "inspect", "ast", "dis", "tokenize",
+        "csv", "datetime",
     )
     probe = (
         "import sys, ecscalar.cli; "
@@ -813,3 +900,41 @@ def test_import_leaves_unused_modules_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_back_to_back_calls_match_separate_processes(tmp_path, monkeypatch):
+    # main reuses one parser per process; no call may see an earlier one.
+    calls = [
+        ["generate", "--curve", "p192", "--seed", "3"],
+        ["benchmark", "--curve", "p256", "--trials", "3", "--seed", "5",
+         "--out", "rows.csv"],
+        ["generate", "--curve", "toy29", "--population-size", "many"],
+        ["audit", "--curve", "p256", "0xabc"],
+    ]
+    rows = tmp_path / "rows.csv"
+
+    def outcome(code, out, err):
+        out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out)
+        return code, out, err, rows.read_text() if rows.exists() else None
+
+    monkeypatch.chdir(tmp_path)
+    in_process = []
+    for argv in calls:
+        rows.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        in_process.append(outcome(code, out.getvalue(), err.getvalue()))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    separate = []
+    for argv in calls:
+        rows.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecscalar.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        separate.append(outcome(proc.returncode, proc.stdout, proc.stderr))
+    assert [c for c, *_ in separate] == [0, 0, 2, 0]
+    assert in_process == separate

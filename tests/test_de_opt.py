@@ -258,6 +258,28 @@ class TestInitialize:
             de_opt._draw_scalar(substream(seed, 0, i), n) for i in range(size)
         ]
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.one_of(
+            st.just(37),
+            st.sampled_from((64, 192, 256)).flatmap(
+                lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)
+            ),
+        ),
+        seed=st.integers(0, (1 << 64) - 1),
+        size=st.integers(4, 120),
+        stop=st.integers(0, 12),
+    )
+    def test_stop_ends_at_the_first_slot_of_that_imbalance(
+        self, n, seed, size, stop
+    ):
+        config = DEConfig(population_size=size, seed=seed)
+        full = initialize(config, n)
+        head = initialize(config, n, stop=stop)
+        assert head == full[:len(head)]
+        at_stop = [i for i, ind in enumerate(full) if ind.imbalance == stop]
+        assert len(head) == (at_stop[0] + 1 if at_stop else size)
+
     def test_rejected_first_draws_fall_back_to_their_own_stream(
         self, toy29, monkeypatch
     ):

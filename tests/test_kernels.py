@@ -147,10 +147,12 @@ class TestWordParallelKernel:
         assert kernels._draw_ramps.cache_info().maxsize is not None
 
     @pytest.mark.parametrize(
-        "n, size", [(37, 192), ((1 << 255) + 95, 48)], ids=["toy29", "4-word"]
+        "n, words", [(37, 1), ((1 << 255) + 95, 4)], ids=["toy29", "4-word"]
     )
-    def test_initial_draw_and_crossover_share_lanes_in_any_order(self, n, size):
-        # Both draw on 192 lanes: 192 one-word slots, or 48 four-word ones.
+    def test_initial_draw_and_crossover_share_lanes_in_any_order(self, n, words):
+        # Both draw on one chunk's lanes: a chunk of one- or four-word slots.
+        lanes = words * de_opt._INIT_CHUNK
+        size = 3 * de_opt._INIT_CHUNK
         config = DEConfig(population_size=size, seed=77)
         threshold = bernoulli_threshold(0.9)
         results = []
@@ -158,9 +160,9 @@ class TestWordParallelKernel:
             _clear_lane_caches()
             if init_first:
                 pop = initialize(config, n)
-                mask = kernels.crossover_fill(0xDEADBEEF, 192, threshold, 5)
+                mask = kernels.crossover_fill(0xDEADBEEF, lanes, threshold, 5)
             else:
-                mask = kernels.crossover_fill(0xDEADBEEF, 192, threshold, 5)
+                mask = kernels.crossover_fill(0xDEADBEEF, lanes, threshold, 5)
                 pop = initialize(config, n)
             results.append((pop, mask))
         assert results[0] == results[1] == results[2]
@@ -168,7 +170,7 @@ class TestWordParallelKernel:
         assert [ind.scalar for ind in pop] == [
             de_opt._draw_scalar(substream(77, 0, i), n) for i in range(size)
         ]
-        assert mask == _reference_mask(0xDEADBEEF, 192, threshold, 5)
+        assert mask == _reference_mask(0xDEADBEEF, lanes, threshold, 5)
 
 
 class TestFirstDraws:
@@ -180,9 +182,15 @@ class TestFirstDraws:
         generation=st.integers(0, 1000),
         count=st.integers(1, 300),
         bits=st.one_of(st.sampled_from(EDGE_WIDTHS), st.integers(1, 600)),
+        start=st.one_of(
+            st.just(0), st.integers(0, 10_000), st.integers(0, MASK64)
+        ),
     )
-    def test_matches_per_slot_first_draws(self, seed, generation, count, bits):
-        got = kernels._first_draws(seed, generation, count, bits)
+    def test_matches_per_slot_first_draws(
+        self, seed, generation, count, bits, start
+    ):
+        got = kernels._first_draws(seed, generation, count, bits, start)
         assert got == [
-            substream(seed, generation, i).next_bits(bits) for i in range(count)
+            substream(seed, generation, i).next_bits(bits)
+            for i in range(start, start + count)
         ]
